@@ -5,9 +5,9 @@
 // Emits bench_out/BENCH_hotpath.json (google-benchmark JSON) so the perf
 // trajectory of the hot path is machine-readable across PRs. Headline
 // numbers to watch:
-//   * BM_TrialThroughput_simple_{scalar,packed}/4096 — the packed engine
-//     must sustain >= 3x the per-object trial throughput (the
-//     BM_PackedSpeedup_* entries report the ratio directly as a counter);
+//   * BM_TrialThroughput_simple_{scalar,packed}/4096 — the packed vs
+//     per-object trial throughput (the BM_PackedSpeedup_* entries report
+//     the ratio directly as a counter; README lists measured values);
 //   * allocs_per_round == 0 on every steady-state round benchmark — the
 //     zero-allocation invariant of Environment::step().
 //
@@ -284,7 +284,7 @@ BENCHMARK_CAPTURE(BM_EngineRound, packed, hh::core::EngineKind::kPacked)
 // ---------------------------------------------------------------------------
 // One FAULT-INJECTED engine round, steady state: crash + Byzantine lanes
 // force every round through the masked SoA path (packed) vs the wrapper
-// chain (scalar). allocs_per_round must stay 0 on the packed rows — the
+// chain (scalar). allocs_per_round must stay 0 on every row — the
 // masked entry points extend the zero-allocation invariant to mixed
 // rounds.
 
@@ -422,8 +422,8 @@ BENCHMARK_CAPTURE(BM_PackedSpeedup, quorum_k8, "quorum", 8u)->Arg(4096);
 // through the masked per-ant-phase path. The *_counter rows rerun the same
 // workload under counter-lottery pairing: pairing happens every round >= 2
 // of Algorithm 2, so a draw-free O(m) pairing round is where the packed
-// engine's serial-RNG bottleneck breaks (the acceptance bar is speedup
-// >= 2.2 on optimal_k8_counter at n=4096).
+// engine's serial-RNG bottleneck breaks (README lists the measured
+// ratios).
 void BM_PackedOptimalSpeedup(benchmark::State& state, const char* algorithm,
                              std::uint32_t k,
                              hh::env::PairingKind pairing =

@@ -13,6 +13,7 @@
 #include "util/contracts.hpp"
 #include "util/fault_inject.hpp"
 #include "util/rng.hpp"
+#include "util/round_pool.hpp"
 
 namespace hh::analysis {
 
@@ -50,6 +51,9 @@ void parallel_for_chunks(
   std::mutex error_mutex;
   std::exception_ptr first_error;
   auto work = [&](std::size_t worker) {
+    // The workers already own the cores: a trial's round kernels run
+    // inline on its worker instead of fanning out to the round pool.
+    const util::InlineRounds inline_rounds;
     // Fail fast: once any cell throws, remaining workers stop claiming
     // (a sweep-wide error like an unknown algorithm name would otherwise
     // pay the full trials x scenarios cost before reporting).

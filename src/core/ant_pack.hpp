@@ -336,6 +336,25 @@ class AntPack {
     nest_[a] = j;
   }
 
+  /// adopt() for chunked kernels (util/round_pool.hpp): the census change
+  /// lands in `delta` (k+1 entries, owned by the calling chunk) instead of
+  /// the shared census; merge_census folds the chunks' deltas in after
+  /// the join.
+  void adopt_into(std::size_t a, env::NestId j, std::int32_t* delta) {
+    if (counts_in_census(static_cast<env::AntId>(a))) {
+      --delta[nest_[a]];
+      ++delta[j];
+    }
+    nest_[a] = j;
+  }
+
+  /// Add one chunk's adopt_into deltas (k+1 entries) to the census.
+  void merge_census(const std::int32_t* delta) {
+    for (std::size_t i = 0; i < census_.size(); ++i) {
+      census_[i] += static_cast<std::uint32_t>(delta[i]);
+    }
+  }
+
   /// Rewind the commitment lanes to round 0: every ant committed to the
   /// home nest, census over the correct ants (do_reset calls this).
   void reset_commitments();

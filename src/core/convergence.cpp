@@ -1,5 +1,8 @@
 #include "core/convergence.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "util/contracts.hpp"
 
 namespace hh::core {
@@ -40,13 +43,16 @@ std::optional<env::NestId> agreement_from_census(
   return best;
 }
 
-std::optional<env::NestId> current_agreement(const Colony& colony,
-                                             const env::Environment& environment,
-                                             ConvergenceMode mode,
-                                             double tolerance) {
-  HH_EXPECTS(tolerance >= 0.0 && tolerance < 1.0);
-  // Census of correct ants per nest under the mode's notion of "position".
-  std::vector<std::uint32_t> census(environment.num_nests() + 1, 0);
+namespace {
+
+/// Fill `census` (size k+1) with the correct ants per nest under `mode`'s
+/// notion of agreement; returns the number of correct ants.
+std::uint32_t take_census(const Colony& colony,
+                          const env::Environment& environment,
+                          ConvergenceMode mode,
+                          std::span<std::uint32_t> census) {
+  HH_EXPECTS(census.size() == environment.num_nests() + 1);
+  std::fill(census.begin(), census.end(), 0u);
   std::uint32_t correct_total = 0;
   for (env::AntId a = 0; a < colony.size(); ++a) {
     if (!colony.correct(a)) continue;  // faulty ants are exempt
@@ -60,14 +66,32 @@ std::optional<env::NestId> current_agreement(const Colony& colony,
     const bool counts = mode == ConvergenceMode::kCommitment || ant.finalized();
     if (counts) ++census[nest];
   }
+  return correct_total;
+}
+
+}  // namespace
+
+std::optional<env::NestId> current_agreement(const Colony& colony,
+                                             const env::Environment& environment,
+                                             ConvergenceMode mode,
+                                             double tolerance) {
+  HH_EXPECTS(tolerance >= 0.0 && tolerance < 1.0);
+  std::vector<std::uint32_t> census(environment.num_nests() + 1, 0);
+  const std::uint32_t correct_total =
+      take_census(colony, environment, mode, census);
   return agreement_from_census(census, correct_total, environment, tolerance);
 }
 
 bool ConvergenceDetector::update(const Colony& colony,
                                  const env::Environment& environment) {
   if (converged_) return true;
+  // The detector's own buffer: sized on the first round, reused after, so
+  // a steady-state scalar round allocates nothing here.
+  census_.resize(environment.num_nests() + 1);
+  const std::uint32_t correct_total =
+      take_census(colony, environment, mode_, census_);
   return observe_agreement(
-      current_agreement(colony, environment, mode_, tolerance_),
+      agreement_from_census(census_, correct_total, environment, tolerance_),
       environment.round());
 }
 

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "core/colony.hpp"
 #include "env/environment.hpp"
@@ -110,6 +111,8 @@ class ConvergenceDetector {
   env::NestId streak_nest_ = env::kHomeNest;
   std::uint32_t streak_length_ = 0;
   std::uint32_t streak_start_ = 0;
+  /// Census scratch for the per-object update (size k+1 once used).
+  std::vector<std::uint32_t> census_;
 };
 
 }  // namespace hh::core

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/contracts.hpp"
+#include "util/round_pool.hpp"
 
 namespace hh::core {
 
@@ -31,6 +32,12 @@ class OptimalPack final : public AntPack {
     pending_final_.resize(n);
     full_house_streak_.resize(n);
     fin_census_.resize(num_nests + 1);
+    // Per-chunk tally slices: census delta (k+1), finalized-census delta
+    // (k+1), finalized-count delta (1), padded by a cache line so two
+    // chunks' hot deltas never share one.
+    constexpr std::size_t kLine = 64 / sizeof(std::int32_t);
+    tally_stride_ = (2 * (num_nests + 1) + 1 + kLine - 1) / kLine * kLine + kLine;
+    tallies_.resize(util::kMaxRoundChunks * tally_stride_);
     if (faults != nullptr) install_fault_plan(*faults);
     const bool did_reset = reset(colony_seed);
     HH_ASSERT(did_reset);
@@ -116,11 +123,13 @@ class OptimalPack final : public AntPack {
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   void observe_masked_acting(std::span<const std::uint8_t> act,
                              std::span<const env::Outcome> outcomes) override {
-    for (std::size_t a = 0; a < act.size(); ++a) {
-      if (!act[a]) continue;
-      const env::Outcome& out = outcomes[a];
-      apply(a, out.nest, out.count, out.quality);
-    }
+    for_ant_chunks([&](std::size_t begin, std::size_t end, const Tally& tally) {
+      for (std::size_t a = begin; a < end; ++a) {
+        if (!act[a]) continue;
+        const env::Outcome& out = outcomes[a];
+        apply(a, out.nest, out.count, out.quality, tally);
+      }
+    });
   }
 
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -134,23 +143,26 @@ class OptimalPack final : public AntPack {
     // one sequential load instead of the recruited_by_ant() load chain.
     const std::span<const env::NestId> results = env.recruit_results();
     const std::uint32_t home_count = counts[env::kHomeNest];
-    for (std::size_t a = 0; a < act.size(); ++a) {
-      if (!act[a]) continue;
-      if (static_cast<State>(state_[a]) == State::kSearch) {
-        const env::NestId found = env.location(static_cast<env::AntId>(a));
-        apply_search(a, found, counts[found], env.qualities()[found - 1]);
-        continue;
+    for_ant_chunks([&](std::size_t begin, std::size_t end, const Tally& tally) {
+      for (std::size_t a = begin; a < end; ++a) {
+        if (!act[a]) continue;
+        if (static_cast<State>(state_[a]) == State::kSearch) {
+          const env::NestId found = env.location(static_cast<env::AntId>(a));
+          apply_search(a, found, counts[found], env.qualities()[found - 1],
+                       tally);
+          continue;
+        }
+        // op[a] is what decide_masked emitted this round — the one copy
+        // of the R1-R4 recruit/go classification.
+        if (op[a] == env::MaskedOp::kRecruit) {
+          // j plus the home-nest population (read by finals for settling).
+          apply(a, results[a], home_count, 0.0, tally);
+        } else {
+          // go(targets[a]): the visited nest's end-of-round count.
+          apply(a, targets[a], counts[targets[a]], 0.0, tally);
+        }
       }
-      // op[a] is what decide_masked emitted this round — the one copy of
-      // the R1-R4 recruit/go classification.
-      if (op[a] == env::MaskedOp::kRecruit) {
-        // j plus the home-nest population (read by finals for settling).
-        apply(a, results[a], home_count, 0.0);
-      } else {
-        // go(targets[a]): the visited nest's end-of-round count.
-        apply(a, targets[a], counts[targets[a]], 0.0);
-      }
-    }
+    });
   }
 
   [[nodiscard]] bool fused_observe_decide(
@@ -163,21 +175,27 @@ class OptimalPack final : public AntPack {
     // because the observe side reads only ant a's own op/target rows
     // (recruit returns come from the env's ant-indexed results lane, not
     // from targets[recruiter]), and the caller's gates guarantee every
-    // lane acts.
+    // lane acts. The pass runs as ant chunks on the round pool: ant a's
+    // observe and decide touch only its own lanes, and the shared tallies
+    // (census, finalized census, finalized count) move through per-chunk
+    // deltas merged after the join.
     const std::span<const std::uint32_t> counts = env.counts();
     const std::span<const env::NestId> results = env.recruit_results();
     const std::uint32_t home_count = counts[env::kHomeNest];
-    for (std::size_t a = 0; a < op.size(); ++a) {
-      if (static_cast<State>(state_[a]) == State::kSearch) {
-        const env::NestId found = env.location(static_cast<env::AntId>(a));
-        apply_search(a, found, counts[found], env.qualities()[found - 1]);
-      } else if (op[a] == env::MaskedOp::kRecruit) {
-        apply(a, results[a], home_count, 0.0);
-      } else {
-        apply(a, targets[a], counts[targets[a]], 0.0);
+    for_ant_chunks([&](std::size_t begin, std::size_t end, const Tally& tally) {
+      for (std::size_t a = begin; a < end; ++a) {
+        if (static_cast<State>(state_[a]) == State::kSearch) {
+          const env::NestId found = env.location(static_cast<env::AntId>(a));
+          apply_search(a, found, counts[found], env.qualities()[found - 1],
+                       tally);
+        } else if (op[a] == env::MaskedOp::kRecruit) {
+          apply(a, results[a], home_count, 0.0, tally);
+        } else {
+          apply(a, targets[a], counts[targets[a]], 0.0, tally);
+        }
+        decide_one(a, op, active, targets);
       }
-      decide_one(a, op, active, targets);
-    }
+    });
     return true;
   }
 
@@ -247,6 +265,40 @@ class OptimalPack final : public AntPack {
   };
   enum class ActiveCase : std::uint8_t { kUndecided, kCase1, kCase2, kCase3 };
 
+  /// One chunk's deltas of the tallies the observe kernels share: the
+  /// committed census (adopt_into), the finalized census, and the
+  /// finalized count — all views into the chunk's tallies_ slice.
+  struct Tally {
+    std::int32_t* census;
+    std::int32_t* fin_census;
+    std::int32_t* finalized;
+  };
+
+  /// Run kernel(begin, end, tally) over the colony's ant chunks on the
+  /// round pool (util/round_pool.hpp), then fold every chunk's tally into
+  /// census_, fin_census_ and finalized_count_. The folds are integer
+  /// sums, so the result is the same for any chunk count.
+  template <typename Kernel>
+  void for_ant_chunks(Kernel&& kernel) {
+    const std::size_t n = size();
+    const std::size_t slots = fin_census_.size();
+    const std::size_t chunks = util::round_chunks(n);
+    util::run_chunks(chunks, [&](std::size_t c) {
+      std::int32_t* const slice = tallies_.data() + c * tally_stride_;
+      std::fill(slice, slice + 2 * slots + 1, 0);
+      kernel(util::chunk_begin(n, chunks, c), util::chunk_begin(n, chunks, c + 1),
+             Tally{slice, slice + slots, slice + 2 * slots});
+    });
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::int32_t* const slice = tallies_.data() + c * tally_stride_;
+      merge_census(slice);
+      for (std::size_t i = 0; i < slots; ++i) {
+        fin_census_[i] += static_cast<std::uint32_t>(slice[slots + i]);
+      }
+      finalized_count_ += static_cast<std::uint32_t>(slice[2 * slots]);
+    }
+  }
+
   void decide_active(std::size_t a, std::uint8_t step,
                      std::span<env::MaskedOp> op,
                      std::span<std::uint8_t> active,
@@ -288,18 +340,18 @@ class OptimalPack final : public AntPack {
     }
   }
 
-  void set_final(std::size_t a) {
+  void set_final(std::size_t a, const Tally& tally) {
     state_[a] = static_cast<std::uint8_t>(State::kFinal);
-    ++finalized_count_;
+    ++*tally.finalized;
     if (counts_in_census(static_cast<env::AntId>(a))) {
-      ++fin_census_[nest_[a]];
+      ++tally.fin_census[nest_[a]];
     }
   }
 
   /// Lines 7-11: commit to the found nest; bad quality => passive.
   void apply_search(std::size_t a, env::NestId found, std::uint32_t count,
-                    double quality) {
-    adopt(a, found);
+                    double quality, const Tally& tally) {
+    adopt_into(a, found, tally.census);
     count_[a] = count;
     state_[a] = static_cast<std::uint8_t>(quality > 0.0 ? State::kActive
                                                         : State::kPassive);
@@ -314,17 +366,17 @@ class OptimalPack final : public AntPack {
   /// (advanced here, frozen while the ant sleeps or is crashed — exactly
   /// the scalar ant's step_).
   void apply(std::size_t a, env::NestId nest, std::uint32_t count,
-             double quality) {
+             double quality, const Tally& tally) {
     switch (static_cast<State>(state_[a])) {
       case State::kSearch:
-        apply_search(a, nest, count, quality);
+        apply_search(a, nest, count, quality, tally);
         break;
       case State::kActive:
-        apply_active(a, step_[a], nest, count);
+        apply_active(a, step_[a], nest, count, tally);
         step_[a] = static_cast<std::uint8_t>((step_[a] + 1) % 4);
         break;
       case State::kPassive:
-        apply_passive(a, step_[a], nest);
+        apply_passive(a, step_[a], nest, tally);
         step_[a] = static_cast<std::uint8_t>((step_[a] + 1) % 4);
         break;
       case State::kFinal:
@@ -333,10 +385,10 @@ class OptimalPack final : public AntPack {
         // nest.
         if (nest != nest_[a]) {
           if (counts_in_census(static_cast<env::AntId>(a))) {
-            --fin_census_[nest_[a]];
-            ++fin_census_[nest];
+            --tally.fin_census[nest_[a]];
+            ++tally.fin_census[nest];
           }
-          adopt(a, nest);
+          adopt_into(a, nest, tally.census);
         }
         if (settle_) {
           // Section 4.2 termination fix: two consecutive rounds with every
@@ -358,7 +410,7 @@ class OptimalPack final : public AntPack {
   }
 
   void apply_active(std::size_t a, std::uint8_t step, env::NestId nest,
-                    std::uint32_t count) {
+                    std::uint32_t count, const Tally& tally) {
     switch (step) {
       case 0:
         // Line 23: nest_t is the recruit() return value j.
@@ -378,7 +430,7 @@ class OptimalPack final : public AntPack {
           }
         } else {
           case_[a] = static_cast<std::uint8_t>(ActiveCase::kCase3);
-          adopt(a, nest_t_[a]);  // line 38
+          adopt_into(a, nest_t_[a], tally.census);  // line 38
         }
         break;
       case 2:
@@ -402,7 +454,7 @@ class OptimalPack final : public AntPack {
             count == count_[a]) {
           // Lines 29-31: count_h == count means every active ant in the
           // colony is committed to this nest — switch to final.
-          set_final(a);
+          set_final(a, tally);
         }
         if (static_cast<State>(state_[a]) != State::kFinal &&
             pending_passive_[a] != 0) {
@@ -416,7 +468,8 @@ class OptimalPack final : public AntPack {
     }
   }
 
-  void apply_passive(std::size_t a, std::uint8_t step, env::NestId nest) {
+  void apply_passive(std::size_t a, std::uint8_t step, env::NestId nest,
+                     const Tally& tally) {
     switch (step) {
       case 0:
       case 2:
@@ -425,13 +478,13 @@ class OptimalPack final : public AntPack {
         // Lines 14-17: recruited => adopt the new nest and become final
         // after finishing the block's two go(nest) rounds.
         if (nest != nest_[a]) {
-          adopt(a, nest);
+          adopt_into(a, nest, tally.census);
           pending_final_[a] = 1;
         }
         break;
       case 3:
         if (pending_final_[a] != 0) {
-          set_final(a);
+          set_final(a, tally);
           pending_final_[a] = 0;
         }
         break;
@@ -454,6 +507,8 @@ class OptimalPack final : public AntPack {
   std::vector<std::uint32_t> full_house_streak_;  ///< settle only
   std::vector<std::uint32_t> fin_census_;  ///< committed census of correct
                                            ///< finalized ants
+  std::size_t tally_stride_ = 0;           ///< int32s per chunk slice
+  std::vector<std::int32_t> tallies_;      ///< Tally slices, one per chunk
 };
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "env/environment.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <string>
 
 #include "util/contracts.hpp"
@@ -41,8 +42,13 @@ HomeNestBackend::HomeNestBackend(EnvironmentConfig cfg,
   requests_.reserve(cfg_.num_ants);
   request_index_.assign(cfg_.num_ants, kNoRequest);
   pairing_scratch_.reserve(cfg_.num_ants);
-  success_ants_.reserve(cfg_.num_ants);
+  // Written before read every round; left uninitialized so construction
+  // does not touch its pages.
+  success_ants_ = std::make_unique_for_overwrite<AntId[]>(cfg_.num_ants);
   recruit_result_.assign(cfg_.num_ants, kHomeNest);
+  constexpr std::size_t kLine = 64 / sizeof(std::uint32_t);
+  chunk_count_stride_ = (num_nests() + 1 + kLine - 1) / kLine * kLine + kLine;
+  chunk_counts_.assign(util::kMaxRoundChunks * chunk_count_stride_, 0);
 }
 
 void HomeNestBackend::reset(std::uint64_t seed) {
@@ -62,7 +68,7 @@ void HomeNestBackend::reset(std::uint64_t seed) {
   std::fill(request_index_.begin(), request_index_.end(), kNoRequest);
   requests_ant_indexed_ = false;
   pairing_current_ = false;
-  success_ants_.clear();
+  success_count_ = 0;
   std::fill(recruit_result_.begin(), recruit_result_.end(), kHomeNest);
   stats_ = RoundStats{};
 }
@@ -313,21 +319,12 @@ void HomeNestBackend::step_rows_quiet(const ActionAt& action_at) {
   // request position x (request x's caller is requests_[x].ant). The same
   // walk fills the ant-indexed recruit() return values and the successful-
   // recruiter list the quiet observers read back.
-  success_ants_.clear();
-  for (std::size_t x = 0; x < requests_.size(); ++x) {
-    const std::int32_t recruiter = pairing_scratch_.recruited_by[x];
-    if (recruiter == kNotRecruited) {
-      recruit_result_[requests_[x].ant] = requests_[x].target;
-      continue;
-    }
-    const RecruitRequest& from = requests_[static_cast<std::size_t>(recruiter)];
-    recruit_result_[requests_[x].ant] = from.target;
-    success_ants_.push_back(from.ant);  // lint: capacity-reserved
-    ++stats_.successful_recruitments;
-    if (from.ant == requests_[x].ant) ++stats_.self_recruitments;
-    if (from.target != requests_[x].target) ++stats_.cross_nest_recruitments;
-    if (from.target != kHomeNest) grant_knowledge(requests_[x].ant, from.target);
-  }
+  matching_chunk(0, 0, requests_.size());
+  const ChunkPart& part = chunk_[0];
+  success_count_ = part.successes;
+  stats_.successful_recruitments = part.successes;
+  stats_.self_recruitments = part.self_recruitments;
+  stats_.cross_nest_recruitments = part.cross_nest_recruitments;
 
   ++round_;
 }
@@ -400,9 +397,16 @@ void HomeNestBackend::step_masked_recruit_fused(
   //   * the lottery is keyed on dense request ranks, and the
   //     classification pass below assigns ranks in ant order — the same
   //     ranks requests_.push_back() assigns on the generic path.
+  // Both passes run as chunks on the round pool. Chunking changes no
+  // result: every chunk writes only its own ants' lanes and its own
+  // requests' rows, the ranks are the serial ones (an exclusive scan over
+  // the chunks' recruiter counts places each chunk's first request), and
+  // the shared counts/stats are per-chunk partials summed after the join.
+  // The one order-dependent draw — a search landing from the shared
+  // stream — forces pass 1 to a single chunk whenever any ant searches.
   HH_EXPECTS(observe_exact_);
   const std::uint32_t k = num_nests();
-  stats_ = RoundStats{};
+  const AntId n = cfg_.num_ants;
   requests_ant_indexed_ = false;
   pairing_current_ = true;
   if (all_at_home_) {
@@ -412,11 +416,97 @@ void HomeNestBackend::step_masked_recruit_fused(
     all_at_home_ = false;
   }
 
-  // Pass 1 — phase 1 + census fused: classification, location updates,
-  // search draws, request packing (AoS row + the dense active-flag lane
-  // the lottery reads), stats, AND the count scatter, one ant-order
-  // sweep. The generic path's separate census reads location_ back after
-  // phase 1; here each ant's end-of-round location is still in register.
+  requests_.resize(n);  // lint: capacity-reserved
+  pairing_scratch_.active.resize(n);  // lint: capacity-reserved
+  std::size_t chunks = util::round_chunks(n);
+  if (chunks > 1) {
+    // Plan the ranks: count each chunk's recruiters (and searchers).
+    util::run_chunks(chunks, [&](std::size_t c) {
+      std::uint32_t requests = 0;
+      std::uint32_t searches = 0;
+      const std::size_t end = util::chunk_begin(n, chunks, c + 1);
+      for (std::size_t a = util::chunk_begin(n, chunks, c); a < end; ++a) {
+        requests += op[a] == MaskedOp::kRecruit ? 1u : 0u;
+        searches += op[a] == MaskedOp::kSearch ? 1u : 0u;
+      }
+      chunk_[c].requests = requests;
+      chunk_[c].searches = searches;
+    });
+    std::uint32_t rank = 0;
+    std::uint32_t searches = 0;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      chunk_[c].first_request = rank;
+      rank += chunk_[c].requests;
+      searches += chunk_[c].searches;
+    }
+    if (searches > 0) chunks = 1;
+  }
+  if (chunks == 1) {
+    chunk_[0].first_request = 0;
+    chunk_[0].requests = n;  // a bound: the rank cursor never passes it
+  }
+  util::run_chunks(chunks, [&](std::size_t c) {
+    fused_pass1_chunk(c, static_cast<AntId>(util::chunk_begin(n, chunks, c)),
+                      static_cast<AntId>(util::chunk_begin(n, chunks, c + 1)),
+                      op, active, targets);
+  });
+  stats_ = RoundStats{};
+  std::fill(count_.begin(), count_.end(), 0u);
+  std::uint32_t mreq = 0;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const ChunkPart& part = chunk_[c];
+    mreq += part.requests;
+    stats_.searches += part.searches;
+    stats_.gos += part.gos;
+    stats_.active_recruits += part.active_recruits;
+    stats_.idles += part.idles;
+    const std::uint32_t* counts = chunk_counts(c);
+    for (std::uint32_t i = 0; i <= k; ++i) count_[i] += counts[i];
+  }
+  stats_.passive_recruits = mreq - stats_.active_recruits;
+  requests_.resize(mreq);  // lint: capacity-reserved
+  pairing_scratch_.active.resize(mreq);  // lint: capacity-reserved
+
+  // The keyed lottery over the dense ranks (scratch.active holds the
+  // packed flags, the same buffer pair_into packs; the model chunks its
+  // own propose loop), then the matching bookkeeping over request chunks.
+  pairing_->pair_active(pairing_scratch_.active,
+                        PairingCtx{rng_, pairing_seed_, round_ + 1},
+                        pairing_scratch_);
+  HH_ENSURES(pairing_scratch_.recruited_by.size() == requests_.size());
+  const std::size_t match_chunks = util::round_chunks(mreq);
+  util::run_chunks(match_chunks, [&](std::size_t c) {
+    matching_chunk(c, util::chunk_begin(mreq, match_chunks, c),
+                   util::chunk_begin(mreq, match_chunks, c + 1));
+  });
+  // Each chunk staged its successes at the start of its own request
+  // range; close the gaps in chunk order, which is request order.
+  success_count_ = 0;
+  for (std::size_t c = 0; c < match_chunks; ++c) {
+    const ChunkPart& part = chunk_[c];
+    AntId* const staged =
+        success_ants_.get() + util::chunk_begin(mreq, match_chunks, c);
+    AntId* const placed = success_ants_.get() + success_count_;
+    if (placed != staged) std::copy(staged, staged + part.successes, placed);
+    success_count_ += part.successes;
+    stats_.self_recruitments += part.self_recruitments;
+    stats_.cross_nest_recruitments += part.cross_nest_recruitments;
+  }
+  stats_.successful_recruitments = static_cast<std::uint32_t>(success_count_);
+
+  ++round_;
+}
+
+// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+void HomeNestBackend::fused_pass1_chunk(std::size_t c, AntId begin, AntId end,
+                                        std::span<const MaskedOp> op,
+                                        std::span<const std::uint8_t> active,
+                                        std::span<const NestId> targets) {
+  // Classification, location updates, search draws, request packing (AoS
+  // row + the dense active-flag lane the lottery reads), stats, AND the
+  // count scatter, one ant-order sweep. The generic path's separate
+  // census reads location_ back after phase 1; here each ant's
+  // end-of-round location is still in register.
   //
   // The go/recruit pair — the whole colony from round 2 on — is handled
   // branch-free: the op mix is irregular at steady state (each ant's
@@ -424,20 +514,26 @@ void HomeNestBackend::step_masked_recruit_fused(
   // roughly every other ant. Instead every go/recruit ant does the same
   // unconditional work with conditional-move selects, including a
   // request-row store whose cursor only advances for recruiters (a go
-  // ant's row is overwritten by the next recruiter; the tail is cut off
-  // by the resize below). Searches and idles — round-1 colonies, fault
-  // lanes — take the cold branch, perfectly predicted when absent.
-  count_.assign(k + 1, 0);
-  const AntId n = cfg_.num_ants;
-  auto& flags = pairing_scratch_.active;
-  requests_.resize(n);  // lint: capacity-reserved
-  flags.resize(n);  // lint: capacity-reserved
+  // ant's row is overwritten by the chunk's next recruiter). A go ant
+  // after the chunk's last recruiter would write the NEXT chunk's first
+  // row, so stores at or past the chunk's rank bound land in a local
+  // dummy instead. Searches and idles — round-1 colonies, fault lanes —
+  // take the cold branch, perfectly predicted when absent.
+  const std::uint32_t k = num_nests();
+  std::uint32_t* const counts = chunk_counts(c);
+  std::fill(counts, counts + k + 1, 0u);
+  ChunkPart& part = chunk_[c];
   RecruitRequest* const req_rows = requests_.data();
-  std::uint8_t* const flag_rows = flags.data();
-  std::uint32_t mreq = 0;
+  std::uint8_t* const flag_rows = pairing_scratch_.active.data();
+  const std::uint32_t rank_end = part.first_request + part.requests;
+  RecruitRequest dummy_row;
+  std::uint8_t dummy_flag = 0;
+  std::uint32_t mreq = part.first_request;
   std::uint32_t n_go = 0;
   std::uint32_t n_rec_active = 0;
-  for (AntId a = 0; a < n; ++a) {
+  std::uint32_t n_search = 0;
+  std::uint32_t n_idle = 0;
+  for (AntId a = begin; a < end; ++a) {
     const MaskedOp o = op[a];
     if (o == MaskedOp::kGo || o == MaskedOp::kRecruit) [[likely]] {
       const bool r = o == MaskedOp::kRecruit;
@@ -449,58 +545,69 @@ void HomeNestBackend::step_masked_recruit_fused(
       const std::uint8_t b = active[a] != 0 ? 1 : 0;
       const NestId loc = r ? kHomeNest : tgt;
       location_[a] = loc;
-      ++count_[loc];
+      ++counts[loc];
       request_index_[a] = r ? mreq : kNoRequest;
-      req_rows[mreq] = RecruitRequest{a, b != 0, tgt};
-      flag_rows[mreq] = b;
+      const bool own = mreq < rank_end;
+      *(own ? req_rows + mreq : &dummy_row) = RecruitRequest{a, b != 0, tgt};
+      *(own ? flag_rows + mreq : &dummy_flag) = b;
       mreq += r ? 1u : 0u;
       n_go += r ? 0u : 1u;
       n_rec_active += (r && b != 0) ? 1u : 0u;
     } else if (o == MaskedOp::kSearch) {
       // search(): i chosen uniformly at random from {1..k} — the same
-      // draw, in the same ant order, as round_phase1.
+      // draw, in the same ant order, as round_phase1 (single-chunk
+      // rounds only; see step_masked_recruit_fused).
       const auto found = static_cast<NestId>(1 + rng_.uniform_u64(k));
       request_index_[a] = kNoRequest;
       location_[a] = found;
       grant_knowledge(a, found);
-      ++count_[found];
-      ++stats_.searches;
+      ++counts[found];
+      ++n_search;
     } else {  // MaskedOp::kIdle
       if (cfg_.enforce_model) validate(a, Action::idle());
       request_index_[a] = kNoRequest;
-      ++count_[location_[a]];
-      ++stats_.idles;
+      ++counts[location_[a]];
+      ++n_idle;
     }
   }
-  requests_.resize(mreq);  // lint: capacity-reserved
-  flags.resize(mreq);  // lint: capacity-reserved
-  stats_.gos = n_go;
-  stats_.active_recruits = n_rec_active;
-  stats_.passive_recruits = mreq - n_rec_active;
+  part.requests = mreq - part.first_request;
+  part.searches = n_search;
+  part.gos = n_go;
+  part.active_recruits = n_rec_active;
+  part.idles = n_idle;
+}
 
-  // Pass 2 — the keyed lottery over the dense ranks (flags aliases
-  // scratch.active, the same buffer pair_into packs), then the matching
-  // bookkeeping, identical to step_rows_quiet's.
-  pairing_->pair_active(flags, PairingCtx{rng_, pairing_seed_, round_ + 1},
-                        pairing_scratch_);
-  HH_ENSURES(pairing_scratch_.recruited_by.size() == requests_.size());
-  success_ants_.clear();
-  for (std::size_t x = 0; x < requests_.size(); ++x) {
+// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+void HomeNestBackend::matching_chunk(std::size_t c, std::size_t begin,
+                                     std::size_t end) {
+  // Matching bookkeeping (stats + tandem-run knowledge), indexed by
+  // request position x (request x's caller is requests_[x].ant, a
+  // distinct ant per request, so chunks write disjoint lanes). The same
+  // walk fills the ant-indexed recruit() return values and stages the
+  // chunk's successful recruiters, in request order, from
+  // success_ants_[begin] on (never more than end - begin of them).
+  ChunkPart& part = chunk_[c];
+  std::uint32_t successes = 0;
+  std::uint32_t self = 0;
+  std::uint32_t cross = 0;
+  AntId* const staged = success_ants_.get() + begin;
+  for (std::size_t x = begin; x < end; ++x) {
+    const RecruitRequest& req = requests_[x];
     const std::int32_t recruiter = pairing_scratch_.recruited_by[x];
     if (recruiter == kNotRecruited) {
-      recruit_result_[requests_[x].ant] = requests_[x].target;
+      recruit_result_[req.ant] = req.target;
       continue;
     }
     const RecruitRequest& from = requests_[static_cast<std::size_t>(recruiter)];
-    recruit_result_[requests_[x].ant] = from.target;
-    success_ants_.push_back(from.ant);  // lint: capacity-reserved
-    ++stats_.successful_recruitments;
-    if (from.ant == requests_[x].ant) ++stats_.self_recruitments;
-    if (from.target != requests_[x].target) ++stats_.cross_nest_recruitments;
-    if (from.target != kHomeNest) grant_knowledge(requests_[x].ant, from.target);
+    recruit_result_[req.ant] = from.target;
+    staged[successes++] = from.ant;
+    if (from.ant == req.ant) ++self;
+    if (from.target != req.target) ++cross;
+    if (from.target != kHomeNest) grant_knowledge(req.ant, from.target);
   }
-
-  ++round_;
+  part.successes = successes;
+  part.self_recruitments = self;
+  part.cross_nest_recruitments = cross;
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -637,7 +744,7 @@ void HomeNestBackend::step_all_recruit_quiet(std::span<const std::uint8_t> activ
   // the exact model returns values the caller can read off last_pairing()
   // and counts() directly. Request x's caller is ant x, so the
   // self-recruitment test collapses to recruiter == a.
-  success_ants_.clear();
+  success_count_ = 0;
   for (AntId a = 0; a < cfg_.num_ants; ++a) {
     const std::int32_t recruiter = pairing_scratch_.recruited_by[a];
     if (recruiter == kNotRecruited) {
@@ -646,7 +753,7 @@ void HomeNestBackend::step_all_recruit_quiet(std::span<const std::uint8_t> activ
     }
     const NestId j = targets[static_cast<std::size_t>(recruiter)];
     recruit_result_[a] = j;
-    success_ants_.push_back(static_cast<AntId>(recruiter));  // lint: capacity-reserved
+    success_ants_[success_count_++] = static_cast<AntId>(recruiter);
     ++stats_.successful_recruitments;
     if (static_cast<AntId>(recruiter) == a) ++stats_.self_recruitments;
     if (j != targets[a]) ++stats_.cross_nest_recruitments;

@@ -20,6 +20,7 @@
 #ifndef HH_ENV_ENVIRONMENT_HPP
 #define HH_ENV_ENVIRONMENT_HPP
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -32,6 +33,7 @@
 #include "env/pairing.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
+#include "util/round_pool.hpp"
 
 namespace hh::env {
 
@@ -215,7 +217,7 @@ class HomeNestBackend final : public Backend {
   /// step_all_recruit_quiet; lets the driver attribute tandem runs vs
   /// transports over the successes alone instead of scanning every ant.
   [[nodiscard]] std::span<const AntId> successful_recruiters() const {
-    return success_ants_;
+    return {success_ants_.get(), success_count_};
   }
   /// recruit_results()[a] = the recruit(b, i) return value j for every
   /// ant whose op was kRecruit in the last quiet recruit round: the
@@ -257,10 +259,27 @@ class HomeNestBackend final : public Backend {
   /// fused pass does classification, the search draws, request packing,
   /// AND the count census, then runs the keyed lottery and the matching
   /// bookkeeping. Observably identical to the generic path — see the
-  /// legality argument at the definition. Exact observation only.
+  /// legality argument at the definition. Exact observation only. Both
+  /// passes run as ant/request chunks on the round pool
+  /// (util/round_pool.hpp); the chunk kernels are the two below.
   void step_masked_recruit_fused(std::span<const MaskedOp> op,
                                  std::span<const std::uint8_t> active,
                                  std::span<const NestId> targets);
+  /// Pass 1 of the fused round over ants [begin, end): classification,
+  /// locations, request rows from rank chunk_[c].first_request on, and
+  /// the chunk's count/stat partials.
+  void fused_pass1_chunk(std::size_t c, AntId begin, AntId end,
+                         std::span<const MaskedOp> op,
+                         std::span<const std::uint8_t> active,
+                         std::span<const NestId> targets);
+  /// The matching bookkeeping over requests [begin, end): recruit
+  /// returns, tandem-run knowledge, the chunk's stat partials, and its
+  /// successful recruiters staged at success_ants_[begin...].
+  void matching_chunk(std::size_t c, std::size_t begin, std::size_t end);
+  /// Chunk c's slice of chunk_counts_ (k+1 entries).
+  [[nodiscard]] std::uint32_t* chunk_counts(std::size_t c) {
+    return chunk_counts_.data() + c * chunk_count_stride_;
+  }
   /// Phase 1 shared by both forms — validation, location updates, the
   /// search landing draws, request building, stats — ONE copy so the
   /// loud and quiet paths cannot drift apart. kLoud additionally seeds
@@ -309,9 +328,30 @@ class HomeNestBackend final : public Backend {
   // recruit_result_[a] holds ant a's recruit() return value j. Both are
   // filled by the matching-bookkeeping walk, which already touches every
   // pair — capacity reserved at construction, zero allocations per round.
-  std::vector<AntId> success_ants_;
+  std::unique_ptr<AntId[]> success_ants_;  // n slots; [0, success_count_) live
+  std::size_t success_count_ = 0;
   std::vector<NestId> recruit_result_;
   RoundStats stats_;
+
+  /// One round-pool chunk's partial results in the fused round; merged
+  /// by the caller after each join (integer sums, so chunk-count-free).
+  struct ChunkPart {
+    std::uint32_t first_request = 0;  ///< rank of the chunk's first request
+    std::uint32_t requests = 0;       ///< recruit() calls in the chunk
+    std::uint32_t searches = 0;
+    std::uint32_t gos = 0;
+    std::uint32_t active_recruits = 0;
+    std::uint32_t idles = 0;
+    std::uint32_t successes = 0;
+    std::uint32_t self_recruitments = 0;
+    std::uint32_t cross_nest_recruitments = 0;
+  };
+  std::array<ChunkPart, util::kMaxRoundChunks> chunk_{};
+  // Per-chunk count_ partials, util::kMaxRoundChunks slices of
+  // chunk_count_stride_ entries; the stride pads each slice by a cache
+  // line so two chunks' hot counters never share one.
+  std::size_t chunk_count_stride_ = 0;
+  std::vector<std::uint32_t> chunk_counts_;
 };
 
 inline std::int32_t HomeNestBackend::recruited_by_ant(AntId a) const {

@@ -1,8 +1,12 @@
 #include "env/pairing.hpp"
 
+#include <algorithm>
+#include <array>
 #include <memory>
+#include <utility>
 
 #include "util/contracts.hpp"
+#include "util/round_pool.hpp"
 
 namespace hh::env {
 
@@ -15,6 +19,7 @@ void PairingScratch::reserve(std::size_t max_requests) {
   winner.reserve(max_requests);
   proposer_count.reserve(max_requests);
   ticket.reserve(max_requests);
+  staged.reserve(max_requests);
 }
 
 PairingResult PairingModel::pair(std::span<const RecruitRequest> requests,
@@ -163,8 +168,8 @@ void CounterLotteryPairing::pair_active(std::span<const std::uint8_t> active,
                                         const PairingCtx& ctx,
                                         PairingScratch& scratch) const {
   const std::size_t m = active.size();
-  scratch.recruited_by.assign(m, kNotRecruited);
-  scratch.recruit_succeeded.assign(m, 0);
+  scratch.recruited_by.resize(m);  // lint: capacity-reserved
+  scratch.recruit_succeeded.resize(m);  // lint: capacity-reserved
   if (m == 0) return;
 
   // Keyed calls (the engine path) draw nothing from the shared stream;
@@ -173,82 +178,167 @@ void CounterLotteryPairing::pair_active(std::span<const std::uint8_t> active,
   const bool keyed = ctx.round != 0;
   const std::uint64_t seed = keyed ? ctx.seed : ctx.rng();
   const std::uint64_t round = keyed ? ctx.round : 1u;
-
-  // Fused propose + lottery pass: slot x's draws come from its own
-  // counter stream, so no slot reads another slot's randomness and the
-  // loop carries no data dependence beyond the per-target lottery cell.
-  // That cell is ONE u64 in the ticket lane — (ticket high half << 32) |
-  // (m - x), 0 = no proposer yet — rather than separate winner/ticket
-  // lanes: the lottery's random scatter then touches half the cache
-  // lines, which is what the propose loop's throughput is bound by at
-  // large m. Max keeps the highest ticket; equal 32-bit tickets (~2^-32
-  // per colliding pair) fall through to the slot code, where the EARLIER
-  // slot carries the larger m - x — so ties keep the earlier slot and
-  // the result is order-independent. m - x is never 0, so a real entry
-  // never collides with the empty sentinel.
   // The (seed, round) half of the mix_seed() key is loop-invariant;
   // hoisting it (mix_seed_prefix) leaves one multiply + one SplitMix64
   // squeeze per slot and produces bit-identical keys.
-  scratch.ticket.assign(m, 0);
   const std::uint64_t key_prefix = util::mix_seed_prefix(seed, round);
 
-  // Compact the active slots into a dense index list first (branchless:
-  // unconditional store, predicated advance). The flags are irregular at
-  // steady state, so `if (!active[x]) continue` inside the propose loop
-  // costs a mispredict every transition; a 3-op/slot compaction pass
-  // followed by a branch-free sweep over the survivors is cheaper for
-  // every density. Slot order is preserved, so draws and tie-breaks are
-  // identical to the naive scan. The proposal lane is the counter
-  // model's compaction arena (the sequential models own it otherwise).
+  // Everything but the acceptance pass runs as chunks on the round pool
+  // (util/round_pool.hpp): chunk c owns slots and targets
+  // [chunk_begin(c), chunk_begin(c + 1)) of every lane.
+  //
+  // Propose: slot x's draws come from its own counter stream, so no slot
+  // reads another slot's randomness. Each active slot proposes to a
+  // uniform target t over all of R with a lottery entry — (ticket high
+  // half << 32) | (m - x), never 0. Each target keeps the proposer with
+  // the largest entry: the highest ticket, and on equal 32-bit tickets
+  // (~2^-32 per colliding pair) the EARLIER slot, which carries the
+  // larger m - x. Max does not depend on order, so the result is the
+  // same however the proposals are split.
+  //
+  // A slot chunk first compacts its active slots into its own range of
+  // the proposal lane (branchless: unconditional store, predicated
+  // advance — the flags are irregular at steady state, so an
+  // `if (!active[x]) continue` in the draw loop would mispredict every
+  // transition), draws each one's target and entry, and stages the
+  // proposals in its own range of the staged/perm lanes, grouped by the
+  // chunk that owns the target. The cells are then settled by their
+  // owners, each reading only the proposals aimed at it: every cell has
+  // one writer, and no cache line bounces between cores (a shared
+  // scatter with an atomic max per cell measured slower than the serial
+  // loop on a 4-vCPU VM).
+  scratch.ticket.resize(m);  // lint: capacity-reserved
   scratch.proposal.resize(m);  // lint: capacity-reserved
-  std::size_t n_active = 0;
-  for (std::size_t x = 0; x < m; ++x) {
-    scratch.proposal[n_active] = static_cast<std::int32_t>(x);
-    n_active += active[x] ? 1u : 0u;
+  scratch.proposer_count.resize(m);  // lint: capacity-reserved
+  scratch.perm.resize(m);  // lint: capacity-reserved
+  scratch.staged.resize(m);  // lint: capacity-reserved
+  const std::size_t chunks = util::round_chunks(m);
+  std::array<std::size_t, util::kMaxRoundChunks + 1> bound{};
+  for (std::size_t c = 0; c <= chunks; ++c) {
+    bound[c] = util::chunk_begin(m, chunks, c);
   }
-  for (std::size_t i = 0; i < n_active; ++i) {
-    const auto x = static_cast<std::size_t>(
-        static_cast<std::uint32_t>(scratch.proposal[i]));
-    util::SplitMix64 stream(util::mix_seed(key_prefix, 0, x));
-    const auto t = static_cast<std::size_t>(stream.bounded(m));
-    const std::uint64_t entry = (stream.next() & 0xffffffff00000000ULL) |
-                                static_cast<std::uint64_t>(m - x);
-    if (entry > scratch.ticket[t]) scratch.ticket[t] = entry;
-  }
+  const auto begin_of = [&](std::size_t c) { return bound[c]; };
+  // The chunk owning target t: a division-free count of the bounds at
+  // or below t (a 64-bit divide per proposal would cost more than the
+  // draws themselves).
+  const auto owner_of = [&](std::size_t t) {
+    std::size_t d = 0;
+    for (std::size_t c = 1; c < chunks; ++c) d += t >= bound[c] ? 1u : 0u;
+    return d;
+  };
+  // bucket[c][d]: where slot chunk c staged its proposals to chunk d.
+  struct Bucket {
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+  };
+  using Row = std::array<Bucket, util::kMaxRoundChunks>;
+  std::array<Row, util::kMaxRoundChunks> bucket{};
+  util::run_chunks(chunks, [&](std::size_t c) {
+    const std::size_t begin = begin_of(c);
+    const std::size_t end = begin_of(c + 1);
+    std::int32_t* const slots = scratch.proposal.data() + begin;
+    std::size_t n_active = 0;
+    for (std::size_t x = begin; x < end; ++x) {
+      slots[n_active] = static_cast<std::int32_t>(x);
+      n_active += active[x] ? 1u : 0u;
+    }
+    // Draw, in slot order, counting the proposals per owner chunk. One
+    // chunk stages them in place; several write them to workspace lanes
+    // first (the ticket lane is free until the cells are settled) and
+    // then group them by owner.
+    const bool direct = chunks == 1;
+    std::uint32_t* const target =
+        (direct ? scratch.perm.data() : scratch.proposer_count.data()) + begin;
+    std::uint64_t* const entry =
+        (direct ? scratch.staged.data() : scratch.ticket.data()) + begin;
+    std::array<std::uint32_t, util::kMaxRoundChunks> next{};
+    for (std::size_t i = 0; i < n_active; ++i) {
+      const auto x = static_cast<std::size_t>(static_cast<std::uint32_t>(slots[i]));
+      util::SplitMix64 stream(util::mix_seed(key_prefix, 0, x));
+      const auto t = static_cast<std::size_t>(stream.bounded(m));
+      target[i] = static_cast<std::uint32_t>(t);
+      entry[i] = (stream.next() & 0xffffffff00000000ULL) |
+                 static_cast<std::uint64_t>(m - x);
+      ++next[owner_of(t)];
+    }
+    Row& row = bucket[c];
+    auto at = static_cast<std::uint32_t>(begin);
+    for (std::size_t d = 0; d < chunks; ++d) {
+      row[d] = Bucket{at, next[d]};
+      next[d] = at;
+      at += row[d].size;
+    }
+    if (direct) return;
+    for (std::size_t i = 0; i < n_active; ++i) {
+      const std::uint32_t pos = next[owner_of(target[i])]++;
+      scratch.perm[pos] = target[i];
+      scratch.staged[pos] = entry[i];
+    }
+  });
+
+  // Settle each cell (ONE u64 in the ticket lane, 0 = no proposer yet),
+  // then gather the proposed-to targets in ascending order, compacted
+  // in place at the start of the chunk's range as (t << 32) | winner —
+  // the list the acceptance pass streams.
+  std::array<std::size_t, util::kMaxRoundChunks> hits{};
+  util::run_chunks(chunks, [&](std::size_t d) {
+    const std::size_t begin = begin_of(d);
+    const std::size_t end = begin_of(d + 1);
+    std::uint64_t* const cells = scratch.ticket.data();
+    std::fill(cells + begin, cells + end, std::uint64_t{0});
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const Bucket b = bucket[c][d];
+      for (std::uint32_t i = b.begin; i < b.begin + b.size; ++i) {
+        const std::uint32_t t = scratch.perm[i];
+        const std::uint64_t entry = scratch.staged[i];
+        if (entry > cells[t]) cells[t] = entry;
+      }
+    }
+    // In place: slot begin + n_hit <= t has already been read.
+    std::size_t n_hit = 0;
+    for (std::size_t t = begin; t < end; ++t) {
+      const std::uint64_t entry = cells[t];
+      const auto w = static_cast<std::uint64_t>(
+          m - static_cast<std::size_t>(entry & 0xffffffffULL));
+      cells[begin + n_hit] = (static_cast<std::uint64_t>(t) << 32) | w;
+      n_hit += entry != 0 ? 1u : 0u;
+    }
+    hits[d] = n_hit;
+  });
 
   // Acceptance in target-index order, draw-free. Tentative matches are
   // exchangeable across slots (the draws above are iid per slot), so a
   // fixed order yields the same matching distribution as the uniform-
-  // proposal model's random-permutation acceptance. Same compaction
-  // trick: gather the proposed-to targets (winner lane as arena), then
-  // resolve them scan-free in ascending-t order.
-  scratch.winner.resize(m);  // lint: capacity-reserved
-  std::size_t n_hit = 0;
-  for (std::size_t t = 0; t < m; ++t) {
-    scratch.winner[n_hit] = static_cast<std::int32_t>(t);
-    n_hit += scratch.ticket[t] != 0 ? 1u : 0u;
-  }
-  for (std::size_t i = 0; i < n_hit; ++i) {
-    const auto t = static_cast<std::size_t>(
-        static_cast<std::uint32_t>(scratch.winner[i]));
-    const std::uint64_t entry = scratch.ticket[t];
-    const auto w = static_cast<std::size_t>(
-        m - static_cast<std::size_t>(entry & 0xffffffffULL));
-    const bool target_free = scratch.recruited_by[t] == kNotRecruited &&
-                             scratch.recruit_succeeded[t] == 0;
-    if (w == t) {
-      // Self-proposal: the single endpoint only needs to be free once.
-      if (target_free) {
+  // proposal model's random-permutation acceptance. The greedy matching
+  // is the one serial step — each decision depends on every earlier one
+  // — and runs on the calling thread over lanes it clears itself, so its
+  // random accesses stay in its own cache; it streams the gathered
+  // targets chunk by chunk, i.e. in ascending t.
+  std::fill(scratch.recruited_by.begin(), scratch.recruited_by.end(),
+            kNotRecruited);
+  std::fill(scratch.recruit_succeeded.begin(), scratch.recruit_succeeded.end(),
+            std::uint8_t{0});
+  for (std::size_t d = 0; d < chunks; ++d) {
+    const std::uint64_t* const list = scratch.ticket.data() + begin_of(d);
+    for (std::size_t i = 0; i < hits[d]; ++i) {
+      const auto t = static_cast<std::size_t>(list[i] >> 32);
+      const auto w = static_cast<std::size_t>(list[i] & 0xffffffffULL);
+      const bool target_free = scratch.recruited_by[t] == kNotRecruited &&
+                               scratch.recruit_succeeded[t] == 0;
+      if (w == t) {
+        // Self-proposal: the single endpoint only needs to be free once.
+        if (target_free) {
+          scratch.recruit_succeeded[w] = 1;
+          scratch.recruited_by[t] = static_cast<std::int32_t>(w);
+        }
+        continue;
+      }
+      const bool recruiter_free = scratch.recruited_by[w] == kNotRecruited &&
+                                  scratch.recruit_succeeded[w] == 0;
+      if (target_free && recruiter_free) {
         scratch.recruit_succeeded[w] = 1;
         scratch.recruited_by[t] = static_cast<std::int32_t>(w);
       }
-      continue;
-    }
-    const bool recruiter_free = scratch.recruited_by[w] == kNotRecruited &&
-                                scratch.recruit_succeeded[w] == 0;
-    if (target_free && recruiter_free) {
-      scratch.recruit_succeeded[w] = 1;
-      scratch.recruited_by[t] = static_cast<std::int32_t>(w);
     }
   }
 }

@@ -60,18 +60,23 @@ struct PairingScratch {
   /// no bit-packing on the hot path.
   std::vector<std::uint8_t> recruit_succeeded;
 
-  // Model workspace (contents meaningless between calls).
+  // Model workspace (contents meaningless between calls). The counter
+  // model borrows the sequential models' lanes: `proposal` compacts its
+  // active slots, `proposer_count` holds their drawn targets, `perm` and
+  // `staged` the proposals (target, lottery entry) grouped by the chunk
+  // owning the target, and `ticket` the lottery cells.
   std::vector<std::uint32_t> perm;            ///< permutation buffer
   std::vector<std::uint8_t> active;           ///< request active flags, packed
                                               ///< to 1B for the random-order
                                               ///< matching loop
-  std::vector<std::int32_t> proposal;         ///< uniform-proposal only
-  std::vector<std::int32_t> winner;           ///< uniform-proposal + counter
-  std::vector<std::uint32_t> proposer_count;  ///< uniform-proposal only
-  /// Counter-lottery tickets, doubling as the uniform-proposal batched
+  std::vector<std::int32_t> proposal;         ///< uniform-proposal targets
+  std::vector<std::int32_t> winner;           ///< uniform-proposal winners
+  std::vector<std::uint32_t> proposer_count;  ///< uniform-proposal counts
+  /// Counter-lottery cells, doubling as the uniform-proposal batched
   /// proposal-draw buffer (both are per-slot u64 lanes, never live at
   /// the same time).
   std::vector<std::uint64_t> ticket;
+  std::vector<std::uint64_t> staged;          ///< counter-lottery only
 
   /// Pre-size every buffer for up to `max_requests` requests.
   void reserve(std::size_t max_requests);
@@ -190,8 +195,11 @@ class UniformProposalPairing final : public PairingModel {
 /// per colliding pair, go to the lowest slot — deterministic under any
 /// evaluation order); tentative matches are then accepted in target-index
 /// order, skipping any match with a used endpoint. Keyed calls draw
-/// NOTHING from the shared stream. See DESIGN.md §2 for the argument that
-/// the lottery marginals match the sequential reservoir lottery.
+/// NOTHING from the shared stream. Everything but the acceptance pass
+/// runs as slot/target chunks on the round pool (util/round_pool.hpp),
+/// with the same matching at any chunk count. See DESIGN.md §2 for the
+/// argument that the lottery marginals match the sequential reservoir
+/// lottery.
 class CounterLotteryPairing final : public PairingModel {
  public:
   using PairingModel::pair_active;

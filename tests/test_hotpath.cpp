@@ -10,6 +10,7 @@
 #include "counting_alloc.hpp"
 #include "env/environment.hpp"
 #include "test_util.hpp"
+#include "util/round_pool.hpp"
 
 namespace hh {
 namespace {
@@ -88,6 +89,31 @@ TEST(HotPath, PackedSimulationRoundNeverAllocates) {
           << env::pairing_name(pairing);
     }
   }
+
+  // Threaded rounds: above util::kMinRoundChunk ants the masked round
+  // runs as chunks on the round pool. The first step warms it (the pool
+  // starts its threads lazily); after that neither the caller nor the
+  // workers may allocate — the counting operator new is global, so it
+  // sees allocations on the worker threads too.
+  util::set_round_workers(4);
+  cfg.num_ants = 4 * util::kMinRoundChunk;
+  cfg.pairing = env::PairingKind::kCounter;
+  ASSERT_EQ(util::round_chunks(cfg.num_ants), 4u);
+  for (const core::AlgorithmKind kind :
+       {core::AlgorithmKind::kOptimal, core::AlgorithmKind::kOptimalSettle}) {
+    core::Simulation sim(cfg, kind);
+    ASSERT_TRUE(sim.packed());
+    sim.step();
+    sim.step();  // the first multi-chunk masked round grows the pool
+    EXPECT_EQ(allocations_during([&] {
+                for (int round = 0; round < 60 && !sim.converged(); ++round) {
+                  sim.step();
+                }
+              }),
+              0u)
+        << core::algorithm_name(kind) << " at 4 round workers";
+  }
+  util::set_round_workers(0);
 }
 
 TEST(HotPath, FaultedPackedRoundNeverAllocates) {

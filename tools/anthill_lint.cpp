@@ -123,7 +123,11 @@ LexedFile lex(const std::string& text) {
             code += c;
             break;
           }
-          raw_delim = ")" + text.substr(i + 2, open - (i + 2)) + "\"";
+          // Appended in place: `")" + text.substr(...)` inlines a
+          // string insert that GCC 12 at -O3 flags under -Werror=restrict.
+          raw_delim.assign(1, ')');
+          raw_delim.append(text, i + 2, open - (i + 2));
+          raw_delim.push_back('"');
           code += "R\"\"";
           state = State::kRaw;
           i = open;  // skip to just past '('
