@@ -114,16 +114,22 @@ class SimpleFamilyPack final : public AntPack {
     }
   }
 
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   [[nodiscard]] std::span<const env::NestId> fill_recruit_soa(
       std::uint32_t round, std::span<std::uint8_t> active) override {
     HH_EXPECTS(all_in(Phase::kRecruit));
     HH_EXPECTS(active.size() == rng_.size());
     // Snapshot the advertised nests: observe_recruit_pairing mutates the
     // nest lane while recruiters' targets must stay the round's values.
-    round_targets_.assign(nest_.begin(), nest_.end());
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      active[a] = decide_b(a, round) ? 1 : 0;  // lines 6 / 10
-    }
+    // Each ant draws from its own stream, so the decide runs as chunks.
+    round_targets_.resize(size());  // lint: capacity-reserved
+    run_ant_chunks(util::round_chunks(size()),
+                   [&](std::size_t begin, std::size_t end, std::int32_t*) {
+                     for (std::size_t a = begin; a < end; ++a) {
+                       round_targets_[a] = nest_[a];
+                       active[a] = decide_b(a, round) ? 1 : 0;  // lines 6 / 10
+                     }
+                   });
     return round_targets_;
   }
 
@@ -154,25 +160,30 @@ class SimpleFamilyPack final : public AntPack {
     }
   }
 
-  // observe_all is the base forward onto this kernel (act all-ones).
+  // observe_all is the base forward onto this kernel (act all-ones). The
+  // masked kernels run as one chunk: advance() keeps the shared phase
+  // census.
   void observe_masked_acting(std::span<const std::uint8_t> act,
                              std::span<const env::Outcome> outcomes) override {
-    for (std::size_t a = 0; a < act.size(); ++a) {
-      if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
-      switch (phase_[a]) {
-        case Phase::kInit:
-          apply_init(a, outcomes[a].nest, outcomes[a].count,
-                     outcomes[a].quality);
-          break;
-        case Phase::kRecruit:
-          apply_recruit(a, outcomes[a].nest);
-          break;
-        case Phase::kAssess:
-          apply_assess(a, outcomes[a].count, outcomes[a].quality);
-          break;
+    run_ant_chunks(1, [&](std::size_t begin, std::size_t end,
+                          std::int32_t* tally) {
+      for (std::size_t a = begin; a < end; ++a) {
+        if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
+        switch (phase_[a]) {
+          case Phase::kInit:
+            apply_init(a, outcomes[a].nest, outcomes[a].count,
+                       outcomes[a].quality, tally);
+            break;
+          case Phase::kRecruit:
+            apply_recruit(a, outcomes[a].nest, tally);
+            break;
+          case Phase::kAssess:
+            apply_assess(a, outcomes[a].count, outcomes[a].quality);
+            break;
+        }
+        advance(a);
       }
-      advance(a);
-    }
+    });
   }
 
   void observe_masked_quiet_acting(
@@ -181,32 +192,37 @@ class SimpleFamilyPack final : public AntPack {
       std::span<const env::NestId> targets) override {
     const std::span<const std::uint32_t> counts = env.counts();
     const std::span<const double> qualities = env.qualities();
-    for (std::size_t a = 0; a < act.size(); ++a) {
-      if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
-      switch (phase_[a]) {
-        case Phase::kInit: {
-          const env::NestId found = env.location(static_cast<env::AntId>(a));
-          apply_init(a, found, counts[found], qualities[found - 1]);
-          break;
-        }
-        case Phase::kRecruit: {
-          const std::int32_t recruiter =
-              env.recruited_by_ant(static_cast<env::AntId>(a));
-          if (recruiter != env::kNotRecruited) {  // else nest unchanged
-            apply_recruit(a, targets[static_cast<std::size_t>(recruiter)]);
+    run_ant_chunks(1, [&](std::size_t begin, std::size_t end,
+                          std::int32_t* tally) {
+      for (std::size_t a = begin; a < end; ++a) {
+        if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
+        switch (phase_[a]) {
+          case Phase::kInit: {
+            const env::NestId found = env.location(static_cast<env::AntId>(a));
+            apply_init(a, found, counts[found], qualities[found - 1], tally);
+            break;
           }
-          break;
+          case Phase::kRecruit: {
+            const std::int32_t recruiter =
+                env.recruited_by_ant(static_cast<env::AntId>(a));
+            if (recruiter != env::kNotRecruited) {  // else nest unchanged
+              apply_recruit(a, targets[static_cast<std::size_t>(recruiter)],
+                            tally);
+            }
+            break;
+          }
+          case Phase::kAssess: {
+            const env::NestId nest = nest_[a];
+            apply_assess(a, counts[nest], qualities[nest - 1]);
+            break;
+          }
         }
-        case Phase::kAssess: {
-          const env::NestId nest = nest_[a];
-          apply_assess(a, counts[nest], qualities[nest - 1]);
-          break;
-        }
+        advance(a);
       }
-      advance(a);
-    }
+    });
   }
 
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   void observe_recruit_pairing(std::span<const env::NestId> targets,
                                const env::PairingScratch& pairing) override {
     HH_EXPECTS(all_in(Phase::kRecruit));
@@ -214,25 +230,38 @@ class SimpleFamilyPack final : public AntPack {
     // Equivalent to the kRecruit branch of observe_all: a recruited ant's
     // outcome.nest is its recruiter's advertised nest; everyone else's is
     // its own target (no change). quality/count are unread in this phase.
-    for (std::size_t a = 0; a < targets.size(); ++a) {
-      const std::int32_t recruiter = pairing.recruited_by[a];
-      if (recruiter == env::kNotRecruited) continue;
-      apply_recruit(a, targets[static_cast<std::size_t>(recruiter)]);
-    }
-    advance_all();
+    // Every ant then moves to kAssess.
+    run_ant_chunks(
+        util::round_chunks(size()),
+        [&](std::size_t begin, std::size_t end, std::int32_t* tally) {
+          for (std::size_t a = begin; a < end; ++a) {
+            const std::int32_t recruiter = pairing.recruited_by[a];
+            if (recruiter == env::kNotRecruited) continue;
+            apply_recruit(a, targets[static_cast<std::size_t>(recruiter)],
+                          tally);
+          }
+          fill_phase(begin, end, Phase::kAssess);
+        });
+    all_entered(Phase::kAssess);
   }
 
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   void observe_go_counts(std::span<const std::uint32_t> counts,
                          std::span<const double> qualities) override {
     HH_EXPECTS(all_in(Phase::kAssess));
     // Equivalent to the kAssess branch of observe_all under exact
     // observation: outcome.count == counts[nest], outcome.quality ==
     // qualities[nest - 1] (every committed nest is a candidate, >= 1).
-    for (std::size_t a = 0; a < rng_.size(); ++a) {
-      const env::NestId nest = nest_[a];
-      apply_assess(a, counts[nest], qualities[nest - 1]);
-    }
-    advance_all();
+    // Every ant then moves to kRecruit.
+    run_ant_chunks(util::round_chunks(size()),
+                   [&](std::size_t begin, std::size_t end, std::int32_t*) {
+                     for (std::size_t a = begin; a < end; ++a) {
+                       const env::NestId nest = nest_[a];
+                       apply_assess(a, counts[nest], qualities[nest - 1]);
+                     }
+                     fill_phase(begin, end, Phase::kRecruit);
+                   });
+    all_entered(Phase::kRecruit);
   }
 
   [[nodiscard]] std::string_view name() const override {
@@ -250,8 +279,8 @@ class SimpleFamilyPack final : public AntPack {
 
   /// Lines 2-4: commit to the found nest; bad quality => passive.
   void apply_init(std::size_t a, env::NestId found, std::uint32_t count,
-                  double quality) {
-    adopt(a, found);
+                  double quality, std::int32_t* tally) {
+    adopt_into(a, found, tally);
     count_[a] = count;
     quality_[a] = quality;
     if (quality <= 0.0) active_[a] = 0;
@@ -265,9 +294,9 @@ class SimpleFamilyPack final : public AntPack {
 
   /// Line 7 / lines 10-13: unconditional nest adoption; a recruited
   /// (or poached) ant becomes active.
-  void apply_recruit(std::size_t a, env::NestId j) {
+  void apply_recruit(std::size_t a, env::NestId j, std::int32_t* tally) {
     if (j != nest_[a]) {
-      adopt(a, j);
+      adopt_into(a, j, tally);
       active_[a] = 1;
     }
   }
@@ -294,8 +323,16 @@ class SimpleFamilyPack final : public AntPack {
     phase_[a] = next;
   }
 
-  void advance_all() {
-    for (std::size_t a = 0; a < phase_.size(); ++a) advance(a);
+  /// A uniform round's lane write: ants [begin, end) enter phase p.
+  void fill_phase(std::size_t begin, std::size_t end, Phase p) {
+    std::fill(phase_.begin() + static_cast<std::ptrdiff_t>(begin),
+              phase_.begin() + static_cast<std::ptrdiff_t>(end), p);
+  }
+
+  /// The phase census after a uniform round moved every ant's lane to p.
+  void all_entered(Phase p) {
+    std::fill(std::begin(phase_count_), std::end(phase_count_), 0u);
+    phase_count_[static_cast<std::size_t>(p)] = size();
   }
 
   /// The variant's b-probability — the exact floating-point expressions of
@@ -359,7 +396,7 @@ class QuorumPack final : public AntPack {
   QuorumPack(std::uint32_t num_ants, std::uint32_t num_nests,
              std::uint64_t colony_seed, const AlgorithmParams& params,
              const env::FaultPlan* faults)
-      : AntPack(num_ants, num_nests),
+      : AntPack(num_ants, num_nests, kTallyExtra),
         // Mirror of factory_for's threshold derivation (colony.cpp).
         threshold_(std::max<std::uint32_t>(
             1, static_cast<std::uint32_t>(params.quorum_fraction * num_ants))),
@@ -416,14 +453,19 @@ class QuorumPack final : public AntPack {
     }
   }
 
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   [[nodiscard]] std::span<const env::NestId> fill_recruit_soa(
       std::uint32_t /*round*/, std::span<std::uint8_t> active) override {
     HH_EXPECTS(all_in(Phase::kRecruit));
     HH_EXPECTS(active.size() == rng_.size());
-    round_targets_.assign(nest_.begin(), nest_.end());
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      active[a] = decide_b(a) ? 1 : 0;
-    }
+    round_targets_.resize(size());  // lint: capacity-reserved
+    for_chunks(util::round_chunks(size()),
+               [&](std::size_t begin, std::size_t end, std::int32_t*) {
+                 for (std::size_t a = begin; a < end; ++a) {
+                   round_targets_[a] = nest_[a];
+                   active[a] = decide_b(a) ? 1 : 0;
+                 }
+               });
     return round_targets_;
   }
 
@@ -456,25 +498,30 @@ class QuorumPack final : public AntPack {
     }
   }
 
-  // observe_all is the base forward onto this kernel (act all-ones).
+  // observe_all is the base forward onto this kernel (act all-ones). The
+  // masked kernels run as one chunk: set_phase() keeps the shared phase
+  // census.
   void observe_masked_acting(std::span<const std::uint8_t> act,
                              std::span<const env::Outcome> outcomes) override {
-    for (std::size_t a = 0; a < act.size(); ++a) {
-      if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
-      // Quorum-met ants recruit forever but their return value is ignored
-      // (commitment locked) and their phase stays parked at kRecruit.
-      if (static_cast<Stage>(stage_[a]) == Stage::kQuorumMet) continue;
-      if (static_cast<Stage>(stage_[a]) == Stage::kInit) {
-        apply_init(a, outcomes[a].nest, outcomes[a].count,
-                   outcomes[a].quality);
-      } else if (phase_[a] == Phase::kRecruit) {
-        apply_recruit(a, outcomes[a].nest);
-        set_phase(a, Phase::kAssess);
-      } else {
-        apply_assess(a, outcomes[a].count);
-        set_phase(a, Phase::kRecruit);
+    for_chunks(1, [&](std::size_t begin, std::size_t end, std::int32_t* tally) {
+      for (std::size_t a = begin; a < end; ++a) {
+        if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
+        // Quorum-met ants recruit forever but their return value is
+        // ignored (commitment locked) and their phase stays parked at
+        // kRecruit.
+        if (static_cast<Stage>(stage_[a]) == Stage::kQuorumMet) continue;
+        if (static_cast<Stage>(stage_[a]) == Stage::kInit) {
+          apply_init(a, outcomes[a].nest, outcomes[a].count,
+                     outcomes[a].quality, tally);
+        } else if (phase_[a] == Phase::kRecruit) {
+          apply_recruit(a, outcomes[a].nest, tally);
+          set_phase(a, Phase::kAssess);
+        } else {
+          apply_assess(a, outcomes[a].count, tally);
+          set_phase(a, Phase::kRecruit);
+        }
       }
-    }
+    });
   }
 
   void observe_masked_quiet_acting(
@@ -482,50 +529,71 @@ class QuorumPack final : public AntPack {
       std::span<const env::MaskedOp> /*op*/,
       std::span<const env::NestId> targets) override {
     const std::span<const std::uint32_t> counts = env.counts();
-    for (std::size_t a = 0; a < act.size(); ++a) {
-      if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
-      if (static_cast<Stage>(stage_[a]) == Stage::kQuorumMet) continue;
-      if (static_cast<Stage>(stage_[a]) == Stage::kInit) {
-        const env::NestId found = env.location(static_cast<env::AntId>(a));
-        apply_init(a, found, counts[found], env.qualities()[found - 1]);
-      } else if (phase_[a] == Phase::kRecruit) {
-        const std::int32_t recruiter =
-            env.recruited_by_ant(static_cast<env::AntId>(a));
-        if (recruiter != env::kNotRecruited) {
-          apply_recruit(a, targets[static_cast<std::size_t>(recruiter)]);
+    for_chunks(1, [&](std::size_t begin, std::size_t end, std::int32_t* tally) {
+      for (std::size_t a = begin; a < end; ++a) {
+        if (!act[a]) continue;  // frozen: crashed, sleeping, or Byzantine
+        if (static_cast<Stage>(stage_[a]) == Stage::kQuorumMet) continue;
+        if (static_cast<Stage>(stage_[a]) == Stage::kInit) {
+          const env::NestId found = env.location(static_cast<env::AntId>(a));
+          apply_init(a, found, counts[found], env.qualities()[found - 1],
+                     tally);
+        } else if (phase_[a] == Phase::kRecruit) {
+          const std::int32_t recruiter =
+              env.recruited_by_ant(static_cast<env::AntId>(a));
+          if (recruiter != env::kNotRecruited) {
+            apply_recruit(a, targets[static_cast<std::size_t>(recruiter)],
+                          tally);
+          }
+          set_phase(a, Phase::kAssess);
+        } else {
+          apply_assess(a, counts[nest_[a]], tally);
+          set_phase(a, Phase::kRecruit);
         }
-        set_phase(a, Phase::kAssess);
-      } else {
-        apply_assess(a, counts[nest_[a]]);
-        set_phase(a, Phase::kRecruit);
       }
-    }
+    });
   }
 
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   void observe_recruit_pairing(std::span<const env::NestId> targets,
                                const env::PairingScratch& pairing) override {
     HH_EXPECTS(all_in(Phase::kRecruit));
     HH_EXPECTS(targets.size() == rng_.size());
-    for (std::size_t a = 0; a < targets.size(); ++a) {
-      if (static_cast<Stage>(stage_[a]) == Stage::kQuorumMet) continue;
-      const std::int32_t recruiter = pairing.recruited_by[a];
-      if (recruiter != env::kNotRecruited) {
-        apply_recruit(a, targets[static_cast<std::size_t>(recruiter)]);
-      }
-      set_phase(a, Phase::kAssess);
-    }
+    // Every ant but the quorum-met ones (parked at kRecruit) absorbs its
+    // recruit return and moves to kAssess; the moves are tallied.
+    const std::uint32_t moved = for_chunks(
+        util::round_chunks(size()),
+        [&](std::size_t begin, std::size_t end, std::int32_t* tally) {
+          std::int32_t n_moved = 0;
+          for (std::size_t a = begin; a < end; ++a) {
+            if (static_cast<Stage>(stage_[a]) == Stage::kQuorumMet) continue;
+            const std::int32_t recruiter = pairing.recruited_by[a];
+            if (recruiter != env::kNotRecruited) {
+              apply_recruit(a, targets[static_cast<std::size_t>(recruiter)],
+                            tally);
+            }
+            phase_[a] = Phase::kAssess;
+            ++n_moved;
+          }
+          tally[moved_slot()] = n_moved;
+        });
+    moved_phase(Phase::kRecruit, Phase::kAssess, moved);
   }
 
+  // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   void observe_go_counts(std::span<const std::uint32_t> counts,
                          std::span<const double> /*qualities*/) override {
     // Only reachable while no ant has met quorum (a quorum-met ant parks
     // its phase at kRecruit, blocking the all-assess census), so every
-    // ant is kPassive or kPreQuorum.
+    // ant is kPassive or kPreQuorum, and every ant moves to kRecruit.
     HH_EXPECTS(all_in(Phase::kAssess));
-    for (std::size_t a = 0; a < rng_.size(); ++a) {
-      apply_assess(a, counts[nest_[a]]);
-      set_phase(a, Phase::kRecruit);
-    }
+    for_chunks(util::round_chunks(size()),
+               [&](std::size_t begin, std::size_t end, std::int32_t* tally) {
+                 for (std::size_t a = begin; a < end; ++a) {
+                   apply_assess(a, counts[nest_[a]], tally);
+                 }
+                 fill_phase(begin, end, Phase::kRecruit);
+               });
+    moved_phase(Phase::kAssess, Phase::kRecruit, size());
   }
 
   [[nodiscard]] bool finalized(env::AntId a) const override {
@@ -543,6 +611,37 @@ class QuorumPack final : public AntPack {
  private:
   enum class Stage : std::uint8_t { kInit, kPassive, kPreQuorum, kQuorumMet };
   enum class Phase : std::uint8_t { kInit, kRecruit, kAssess };
+
+  // A chunk tally's counters after its census delta: ants that met
+  // quorum, and ants a uniform round moved from its phase to the other.
+  static constexpr std::size_t kTallyExtra = 2;
+  [[nodiscard]] std::size_t finalized_slot() const { return census_.size(); }
+  [[nodiscard]] std::size_t moved_slot() const { return census_.size() + 1; }
+
+  /// run_ant_chunks plus the quorum counters: newly finalized ants join
+  /// finalized_count_; returns the chunks' phase moves, summed.
+  template <typename Kernel>
+  std::uint32_t for_chunks(std::size_t chunks, Kernel&& kernel) {
+    std::uint32_t moved = 0;
+    run_ant_chunks(chunks, kernel, [&](const std::int32_t* tally) {
+      finalized_count_ += static_cast<std::uint32_t>(tally[finalized_slot()]);
+      moved += static_cast<std::uint32_t>(tally[moved_slot()]);
+    });
+    return moved;
+  }
+
+  /// A uniform round's lane write: ants [begin, end) enter phase p.
+  void fill_phase(std::size_t begin, std::size_t end, Phase p) {
+    std::fill(phase_.begin() + static_cast<std::ptrdiff_t>(begin),
+              phase_.begin() + static_cast<std::ptrdiff_t>(end), p);
+  }
+
+  /// The phase census after a uniform round moved `moved` lanes from
+  /// phase `from` to phase `to`.
+  void moved_phase(Phase from, Phase to, std::uint32_t moved) {
+    phase_count_[static_cast<std::size_t>(from)] -= moved;
+    phase_count_[static_cast<std::size_t>(to)] += moved;
+  }
 
   /// The b of QuorumAnt::decide in a recruit-phase round.
   [[nodiscard]] bool decide_b(std::size_t a) {
@@ -565,8 +664,8 @@ class QuorumPack final : public AntPack {
   }
 
   void apply_init(std::size_t a, env::NestId found, std::uint32_t count,
-                  double quality) {
-    adopt(a, found);
+                  double quality, std::int32_t* tally) {
+    adopt_into(a, found, tally);
     count_[a] = count;
     stage_[a] = static_cast<std::uint8_t>(quality > 0.0 ? Stage::kPreQuorum
                                                         : Stage::kPassive);
@@ -583,23 +682,23 @@ class QuorumPack final : public AntPack {
     phase_[a] = next;
   }
 
-  void apply_recruit(std::size_t a, env::NestId j) {
+  void apply_recruit(std::size_t a, env::NestId j, std::int32_t* tally) {
     switch (static_cast<Stage>(stage_[a])) {
       case Stage::kPassive:
         if (j != nest_[a]) {
-          adopt(a, j);  // recruited: follow the tandem run
+          adopt_into(a, j, tally);  // recruited: follow the tandem run
           stage_[a] = static_cast<std::uint8_t>(Stage::kPreQuorum);
         }
         break;
       case Stage::kPreQuorum:
-        if (j != nest_[a]) adopt(a, j);  // still persuadable
+        if (j != nest_[a]) adopt_into(a, j, tally);  // still persuadable
         break;
       default:
         break;  // quorum met: commitment locked
     }
   }
 
-  void apply_assess(std::size_t a, std::uint32_t count) {
+  void apply_assess(std::size_t a, std::uint32_t count, std::int32_t* tally) {
     switch (static_cast<Stage>(stage_[a])) {
       case Stage::kPassive:
         count_[a] = count;
@@ -608,7 +707,7 @@ class QuorumPack final : public AntPack {
         count_[a] = count;
         if (count_[a] >= threshold_) {
           stage_[a] = static_cast<std::uint8_t>(Stage::kQuorumMet);
-          ++finalized_count_;
+          ++tally[finalized_slot()];
         }
         break;
       default:
@@ -630,7 +729,8 @@ class QuorumPack final : public AntPack {
 
 }  // namespace
 
-AntPack::AntPack(std::uint32_t num_ants, std::uint32_t num_nests)
+AntPack::AntPack(std::uint32_t num_ants, std::uint32_t num_nests,
+                 std::size_t tally_extra)
     : num_ants_(num_ants) {
   HH_EXPECTS(num_ants >= 1);
   act_.assign(num_ants, 1);  // everyone acts until a fault plan says not
@@ -638,6 +738,12 @@ AntPack::AntPack(std::uint32_t num_ants, std::uint32_t num_nests)
   nest_.assign(num_ants, env::kHomeNest);
   census_.assign(num_nests + 1, 0);
   census_[env::kHomeNest] = num_ants;  // re-derived by reset_commitments
+  // Pad each tally slice by a cache line so two chunks' hot tallies never
+  // share one.
+  constexpr std::size_t kLine = 64 / sizeof(std::int32_t);
+  tally_width_ = census_.size() + tally_extra;
+  tally_stride_ = (tally_width_ + kLine - 1) / kLine * kLine + kLine;
+  tallies_.assign(util::kMaxRoundChunks * tally_stride_, 0);
 }
 
 AntPack::~AntPack() = default;

@@ -47,6 +47,7 @@
 #ifndef HH_CORE_ANT_PACK_HPP
 #define HH_CORE_ANT_PACK_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -62,6 +63,7 @@
 #include "env/nest.hpp"
 #include "env/pairing.hpp"
 #include "util/rng.hpp"
+#include "util/round_pool.hpp"
 
 namespace hh::core {
 
@@ -166,7 +168,9 @@ class AntPack {
   // Quiet observation (exact model only): consume the round's results
   // straight from the environment's pairing scratch / count arrays instead
   // of a per-ant Outcome array. Semantically identical to observe_all over
-  // the Outcomes the loud round would have produced.
+  // the Outcomes the loud round would have produced. The built-in packs
+  // run these two hooks and fill_recruit_soa as ant chunks on the round
+  // pool (run_ant_chunks).
 
   /// Apply a kAllRecruit round: `targets` as returned by
   /// fill_recruit_soa, `pairing` from Environment::last_pairing().
@@ -182,7 +186,7 @@ class AntPack {
   /// CORRECT ants committed to each nest (faulty ants are exempt from
   /// convergence, matching the scalar path's committed_census). The base
   /// serves it from the shared commitment lanes; packs that adopt nests
-  /// exclusively through adopt() need no override.
+  /// exclusively through adopt_into() need no override.
   virtual void committed_census(std::span<std::uint32_t> census) const;
 
   /// The agreement census the convergence detector consumes, under the
@@ -240,7 +244,10 @@ class AntPack {
   [[nodiscard]] virtual std::string_view name() const = 0;
 
  protected:
-  AntPack(std::uint32_t num_ants, std::uint32_t num_nests);
+  /// `tally_extra`: the pack counters each chunk tally carries after its
+  /// census delta (see run_ant_chunks).
+  AntPack(std::uint32_t num_ants, std::uint32_t num_nests,
+          std::size_t tally_extra = 0);
 
   // --- the decision-kernel interface derived packs implement ---------------
 
@@ -327,19 +334,10 @@ class AntPack {
   // census of correct ants over it; the lanes and their maintenance live
   // here ONCE so the census-exemption rule cannot drift between packs.
 
-  /// Commitment change with census maintenance (correct ants only).
-  void adopt(std::size_t a, env::NestId j) {
-    if (counts_in_census(static_cast<env::AntId>(a))) {
-      --census_[nest_[a]];
-      ++census_[j];
-    }
-    nest_[a] = j;
-  }
-
-  /// adopt() for chunked kernels (util/round_pool.hpp): the census change
-  /// lands in `delta` (k+1 entries, owned by the calling chunk) instead of
-  /// the shared census; merge_census folds the chunks' deltas in after
-  /// the join.
+  /// Commitment change with census maintenance (correct ants only). The
+  /// census change lands in `delta` — the calling chunk's tally (k+1
+  /// entries, see run_ant_chunks) — instead of the shared census, which
+  /// run_ant_chunks folds the chunks' deltas into after the join.
   void adopt_into(std::size_t a, env::NestId j, std::int32_t* delta) {
     if (counts_in_census(static_cast<env::AntId>(a))) {
       --delta[nest_[a]];
@@ -348,11 +346,42 @@ class AntPack {
     nest_[a] = j;
   }
 
-  /// Add one chunk's adopt_into deltas (k+1 entries) to the census.
-  void merge_census(const std::int32_t* delta) {
-    for (std::size_t i = 0; i < census_.size(); ++i) {
-      census_[i] += static_cast<std::uint32_t>(delta[i]);
+  // --- chunked kernels (util/round_pool.hpp) -------------------------------
+  // An observe or decide kernel whose iterations touch only their own
+  // ant's lanes runs as contiguous ant chunks. Each chunk gets a tally
+  // slice: its census delta (k+1 entries, for adopt_into) followed by the
+  // constructor's `tally_extra` pack counters, all integer sums, so a
+  // result never depends on the chunk count. The slices are sized at
+  // construction, so chunked rounds allocate nothing.
+
+  /// Run kernel(begin, end, tally) over the colony split into `chunks`
+  /// contiguous ant ranges — util::round_chunks(size()) for a kernel
+  /// whose ants are independent, 1 for one that updates shared state —
+  /// with each chunk's tally zeroed first. After the join, fold every
+  /// chunk's census delta into census_ and hand its whole tally to
+  /// merge(tally), in chunk order.
+  template <typename Kernel, typename Merge>
+  void run_ant_chunks(std::size_t chunks, Kernel&& kernel, Merge&& merge) {
+    const std::size_t n = num_ants_;
+    util::run_chunks(chunks, [&](std::size_t c) {
+      std::int32_t* const tally = tallies_.data() + c * tally_stride_;
+      std::fill(tally, tally + tally_width_, 0);
+      kernel(util::chunk_begin(n, chunks, c),
+             util::chunk_begin(n, chunks, c + 1), tally);
+    });
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::int32_t* const tally = tallies_.data() + c * tally_stride_;
+      for (std::size_t i = 0; i < census_.size(); ++i) {
+        census_[i] += static_cast<std::uint32_t>(tally[i]);
+      }
+      merge(tally);
     }
+  }
+
+  /// run_ant_chunks for packs without extra counters.
+  template <typename Kernel>
+  void run_ant_chunks(std::size_t chunks, Kernel&& kernel) {
+    run_ant_chunks(chunks, kernel, [](const std::int32_t*) {});
   }
 
   /// Rewind the commitment lanes to round 0: every ant committed to the
@@ -375,6 +404,9 @@ class AntPack {
   }
 
   std::uint32_t num_ants_;
+  std::size_t tally_width_ = 0;        ///< int32s of a chunk tally in use
+  std::size_t tally_stride_ = 0;       ///< int32s per chunk slice
+  std::vector<std::int32_t> tallies_;  ///< tally slices, one per chunk
   bool has_faults_ = false;
   std::uint32_t correct_count_ = 0;
   std::uint32_t byz_count_ = 0;

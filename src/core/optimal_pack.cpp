@@ -19,7 +19,8 @@ class OptimalPack final : public AntPack {
   OptimalPack(std::uint32_t num_ants, std::uint32_t num_nests,
               std::uint64_t colony_seed, bool settle,
               const env::FaultPlan* faults)
-      : AntPack(num_ants, num_nests), settle_(settle) {
+      : AntPack(num_ants, num_nests, /*tally_extra=*/num_nests + 2),
+        settle_(settle) {
     HH_EXPECTS(num_ants >= 1);
     const std::size_t n = num_ants;
     state_.resize(n);
@@ -32,12 +33,6 @@ class OptimalPack final : public AntPack {
     pending_final_.resize(n);
     full_house_streak_.resize(n);
     fin_census_.resize(num_nests + 1);
-    // Per-chunk tally slices: census delta (k+1), finalized-census delta
-    // (k+1), finalized-count delta (1), padded by a cache line so two
-    // chunks' hot deltas never share one.
-    constexpr std::size_t kLine = 64 / sizeof(std::int32_t);
-    tally_stride_ = (2 * (num_nests + 1) + 1 + kLine - 1) / kLine * kLine + kLine;
-    tallies_.resize(util::kMaxRoundChunks * tally_stride_);
     if (faults != nullptr) install_fault_plan(*faults);
     const bool did_reset = reset(colony_seed);
     HH_ASSERT(did_reset);
@@ -267,7 +262,8 @@ class OptimalPack final : public AntPack {
 
   /// One chunk's deltas of the tallies the observe kernels share: the
   /// committed census (adopt_into), the finalized census, and the
-  /// finalized count — all views into the chunk's tallies_ slice.
+  /// finalized count — all views into the chunk's tally slice, whose
+  /// k+2 extra counters the constructor asks the base for.
   struct Tally {
     std::int32_t* census;
     std::int32_t* fin_census;
@@ -275,28 +271,23 @@ class OptimalPack final : public AntPack {
   };
 
   /// Run kernel(begin, end, tally) over the colony's ant chunks on the
-  /// round pool (util/round_pool.hpp), then fold every chunk's tally into
-  /// census_, fin_census_ and finalized_count_. The folds are integer
-  /// sums, so the result is the same for any chunk count.
+  /// round pool (AntPack::run_ant_chunks), then fold every chunk's tally
+  /// into census_, fin_census_ and finalized_count_. The folds are
+  /// integer sums, so the result is the same for any chunk count.
   template <typename Kernel>
   void for_ant_chunks(Kernel&& kernel) {
-    const std::size_t n = size();
     const std::size_t slots = fin_census_.size();
-    const std::size_t chunks = util::round_chunks(n);
-    util::run_chunks(chunks, [&](std::size_t c) {
-      std::int32_t* const slice = tallies_.data() + c * tally_stride_;
-      std::fill(slice, slice + 2 * slots + 1, 0);
-      kernel(util::chunk_begin(n, chunks, c), util::chunk_begin(n, chunks, c + 1),
-             Tally{slice, slice + slots, slice + 2 * slots});
-    });
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::int32_t* const slice = tallies_.data() + c * tally_stride_;
-      merge_census(slice);
-      for (std::size_t i = 0; i < slots; ++i) {
-        fin_census_[i] += static_cast<std::uint32_t>(slice[slots + i]);
-      }
-      finalized_count_ += static_cast<std::uint32_t>(slice[2 * slots]);
-    }
+    run_ant_chunks(
+        util::round_chunks(size()),
+        [&](std::size_t begin, std::size_t end, std::int32_t* slice) {
+          kernel(begin, end, Tally{slice, slice + slots, slice + 2 * slots});
+        },
+        [&](const std::int32_t* slice) {
+          for (std::size_t i = 0; i < slots; ++i) {
+            fin_census_[i] += static_cast<std::uint32_t>(slice[slots + i]);
+          }
+          finalized_count_ += static_cast<std::uint32_t>(slice[2 * slots]);
+        });
   }
 
   void decide_active(std::size_t a, std::uint8_t step,
@@ -507,8 +498,6 @@ class OptimalPack final : public AntPack {
   std::vector<std::uint32_t> full_house_streak_;  ///< settle only
   std::vector<std::uint32_t> fin_census_;  ///< committed census of correct
                                            ///< finalized ants
-  std::size_t tally_stride_ = 0;           ///< int32s per chunk slice
-  std::vector<std::int32_t> tallies_;      ///< Tally slices, one per chunk
 };
 
 }  // namespace

@@ -158,6 +158,7 @@ void HomeNestBackend::round_phase1(const ActionAt& action_at) {
   requests_.clear();
   requests_ant_indexed_ = false;
   pairing_current_ = true;  // every step_rows round runs the pairing
+  success_count_ = 0;
   if (all_at_home_) {
     // Materialize the lazy locations of a preceding step_all_recruit()
     // round: the kIdle branch below reads location_ in place.
@@ -270,12 +271,12 @@ const std::vector<Outcome>& HomeNestBackend::step_rows(const ActionAt& action_at
         if (recruiter != kNotRecruited) {
           // Return value j is the recruiter's advertised nest (Algorithm 1
           // lines 8-10); the ant learns that nest's location (tandem run).
+          const AntId from = requests_[static_cast<std::size_t>(recruiter)].ant;
           out.nest = requests_[static_cast<std::size_t>(recruiter)].target;
           out.recruited = true;
           ++stats_.successful_recruitments;
-          if (requests_[static_cast<std::size_t>(recruiter)].ant == a) {
-            ++stats_.self_recruitments;
-          }
+          success_ants_[success_count_++] = from;
+          if (from == a) ++stats_.self_recruitments;
           // requests_[idx].target is the ant's own advertised nest.
           if (out.nest != requests_[idx].target) {
             ++stats_.cross_nest_recruitments;
@@ -320,11 +321,7 @@ void HomeNestBackend::step_rows_quiet(const ActionAt& action_at) {
   // walk fills the ant-indexed recruit() return values and the successful-
   // recruiter list the quiet observers read back.
   matching_chunk(0, 0, requests_.size());
-  const ChunkPart& part = chunk_[0];
-  success_count_ = part.successes;
-  stats_.successful_recruitments = part.successes;
-  stats_.self_recruitments = part.self_recruitments;
-  stats_.cross_nest_recruitments = part.cross_nest_recruitments;
+  merge_matching_chunks(requests_.size(), 1);
 
   ++round_;
 }
@@ -479,13 +476,21 @@ void HomeNestBackend::step_masked_recruit_fused(
     matching_chunk(c, util::chunk_begin(mreq, match_chunks, c),
                    util::chunk_begin(mreq, match_chunks, c + 1));
   });
-  // Each chunk staged its successes at the start of its own request
-  // range; close the gaps in chunk order, which is request order.
+  merge_matching_chunks(mreq, match_chunks);
+
+  ++round_;
+}
+
+// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+void HomeNestBackend::merge_matching_chunks(std::size_t items,
+                                            std::size_t chunks) {
+  // Each chunk staged its successes at the start of its own range; close
+  // the gaps in chunk order, which is request order.
   success_count_ = 0;
-  for (std::size_t c = 0; c < match_chunks; ++c) {
+  for (std::size_t c = 0; c < chunks; ++c) {
     const ChunkPart& part = chunk_[c];
     AntId* const staged =
-        success_ants_.get() + util::chunk_begin(mreq, match_chunks, c);
+        success_ants_.get() + util::chunk_begin(items, chunks, c);
     AntId* const placed = success_ants_.get() + success_count_;
     if (placed != staged) std::copy(staged, staged + part.successes, placed);
     success_count_ += part.successes;
@@ -493,8 +498,6 @@ void HomeNestBackend::step_masked_recruit_fused(
     stats_.cross_nest_recruitments += part.cross_nest_recruitments;
   }
   stats_.successful_recruitments = static_cast<std::uint32_t>(success_count_);
-
-  ++round_;
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -640,6 +643,7 @@ const std::vector<Outcome>& HomeNestBackend::step_all_search() {
   const std::uint32_t k = num_nests();
   stats_ = RoundStats{};
   pairing_current_ = false;  // no pairing: this round's matching is empty
+  success_count_ = 0;
   stats_.searches = cfg_.num_ants;
   all_at_home_ = false;  // every location is written below
   // search() is always legal — nothing to validate.
@@ -691,6 +695,7 @@ const std::vector<Outcome>& HomeNestBackend::step_all_recruit(
   // a), so the request_index_ indirection disappears too.
   const std::uint32_t home_count =
       observe_exact_ ? cfg_.num_ants : 0;  // noisy path perceives per ant
+  success_count_ = 0;
   for (AntId a = 0; a < cfg_.num_ants; ++a) {
     const RecruitRequest& req = requests[a];
     stats_.active_recruits += req.active ? 1u : 0u;
@@ -698,12 +703,12 @@ const std::vector<Outcome>& HomeNestBackend::step_all_recruit(
     out = Outcome{ActionKind::kRecruit, req.target, 0.0, 0, false, false};
     const std::int32_t recruiter = pairing_scratch_.recruited_by[a];
     if (recruiter != kNotRecruited) {
+      const AntId from = requests[static_cast<std::size_t>(recruiter)].ant;
       out.nest = requests[static_cast<std::size_t>(recruiter)].target;
       out.recruited = true;
       ++stats_.successful_recruitments;
-      if (requests[static_cast<std::size_t>(recruiter)].ant == a) {
-        ++stats_.self_recruitments;
-      }
+      success_ants_[success_count_++] = from;
+      if (from == a) ++stats_.self_recruitments;
       if (out.nest != req.target) ++stats_.cross_nest_recruitments;
       if (out.nest != kHomeNest) grant_knowledge(a, out.nest);
     }
@@ -724,28 +729,54 @@ void HomeNestBackend::step_all_recruit_quiet(std::span<const std::uint8_t> activ
   HH_EXPECTS(active.size() == cfg_.num_ants);
   HH_EXPECTS(targets.size() == cfg_.num_ants);
   const std::uint32_t k = num_nests();
+  const AntId n = cfg_.num_ants;
   stats_ = RoundStats{};
   if (cfg_.enforce_model) {
-    for (AntId a = 0; a < cfg_.num_ants; ++a) {
+    for (AntId a = 0; a < n; ++a) {
       validate(a, Action::recruit(active[a] != 0, targets[a]));
     }
   }
   all_at_home_ = true;
   requests_ant_indexed_ = true;
   pairing_current_ = true;
-  for (const std::uint8_t b : active) stats_.active_recruits += b ? 1u : 0u;
-  stats_.passive_recruits = cfg_.num_ants - stats_.active_recruits;
   pairing_->pair_active(active, PairingCtx{rng_, pairing_seed_, round_ + 1},
                         pairing_scratch_);
   HH_ENSURES(pairing_scratch_.recruited_by.size() == active.size());
   count_.assign(k + 1, 0);
-  count_[kHomeNest] = cfg_.num_ants;
+  count_[kHomeNest] = n;
+  // The phase-4 bookkeeping as ant chunks on the round pool (request x
+  // is ant x, so request order is ant order).
+  const std::size_t chunks = util::round_chunks(n);
+  util::run_chunks(chunks, [&](std::size_t c) {
+    all_recruit_chunk(c, static_cast<AntId>(util::chunk_begin(n, chunks, c)),
+                      static_cast<AntId>(util::chunk_begin(n, chunks, c + 1)),
+                      active, targets);
+  });
+  merge_matching_chunks(n, chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    stats_.active_recruits += chunk_[c].active_recruits;
+  }
+  stats_.passive_recruits = n - stats_.active_recruits;
+  ++round_;
+}
+
+// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+void HomeNestBackend::all_recruit_chunk(std::size_t c, AntId begin, AntId end,
+                                        std::span<const std::uint8_t> active,
+                                        std::span<const NestId> targets) {
   // The phase-4 bookkeeping (stats, knowledge) without Outcome writes:
   // the exact model returns values the caller can read off last_pairing()
   // and counts() directly. Request x's caller is ant x, so the
-  // self-recruitment test collapses to recruiter == a.
-  success_count_ = 0;
-  for (AntId a = 0; a < cfg_.num_ants; ++a) {
+  // self-recruitment test collapses to recruiter == a. Ant a's rows are
+  // its own; the chunk's tallies go to chunk_[c].
+  ChunkPart& part = chunk_[c];
+  std::uint32_t n_active = 0;
+  std::uint32_t successes = 0;
+  std::uint32_t self = 0;
+  std::uint32_t cross = 0;
+  AntId* const staged = success_ants_.get() + begin;
+  for (AntId a = begin; a < end; ++a) {
+    n_active += active[a] != 0 ? 1u : 0u;
     const std::int32_t recruiter = pairing_scratch_.recruited_by[a];
     if (recruiter == kNotRecruited) {
       recruit_result_[a] = targets[a];
@@ -753,13 +784,15 @@ void HomeNestBackend::step_all_recruit_quiet(std::span<const std::uint8_t> activ
     }
     const NestId j = targets[static_cast<std::size_t>(recruiter)];
     recruit_result_[a] = j;
-    success_ants_[success_count_++] = static_cast<AntId>(recruiter);
-    ++stats_.successful_recruitments;
-    if (static_cast<AntId>(recruiter) == a) ++stats_.self_recruitments;
-    if (j != targets[a]) ++stats_.cross_nest_recruitments;
+    staged[successes++] = static_cast<AntId>(recruiter);
+    if (static_cast<AntId>(recruiter) == a) ++self;
+    if (j != targets[a]) ++cross;
     if (j != kHomeNest) grant_knowledge(a, j);
   }
-  ++round_;
+  part.active_recruits = n_active;
+  part.successes = successes;
+  part.self_recruitments = self;
+  part.cross_nest_recruitments = cross;
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -767,22 +800,33 @@ void HomeNestBackend::step_all_go_quiet(std::span<const NestId> targets) {
   HH_EXPECTS(observe_exact_);
   HH_EXPECTS(targets.size() == cfg_.num_ants);
   const std::uint32_t k = num_nests();
+  const AntId n = cfg_.num_ants;
   stats_ = RoundStats{};
   pairing_current_ = false;  // no pairing: this round's matching is empty
-  stats_.gos = cfg_.num_ants;
+  success_count_ = 0;
+  stats_.gos = n;
   all_at_home_ = false;  // every location is written below
   if (cfg_.enforce_model) {
-    for (AntId a = 0; a < cfg_.num_ants; ++a) {
-      validate(a, Action::go(targets[a]));
+    for (AntId a = 0; a < n; ++a) validate(a, Action::go(targets[a]));
+  }
+  // Locations and the census as ant chunks on the round pool, each
+  // counting into its own slice; go() grants no knowledge and, exactly
+  // observed, returns only counts()/qualities() — no per-ant work remains.
+  const std::size_t chunks = util::round_chunks(n);
+  util::run_chunks(chunks, [&](std::size_t c) {
+    std::uint32_t* const counts = chunk_counts(c);
+    std::fill(counts, counts + k + 1, 0u);
+    const std::size_t end = util::chunk_begin(n, chunks, c + 1);
+    for (std::size_t a = util::chunk_begin(n, chunks, c); a < end; ++a) {
+      location_[a] = targets[a];
+      ++counts[targets[a]];
     }
+  });
+  std::fill(count_.begin(), count_.end(), 0u);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::uint32_t* const counts = chunk_counts(c);
+    for (std::uint32_t i = 0; i <= k; ++i) count_[i] += counts[i];
   }
-  count_.assign(k + 1, 0);
-  for (AntId a = 0; a < cfg_.num_ants; ++a) {
-    location_[a] = targets[a];
-    ++count_[targets[a]];
-  }
-  // go() grants no knowledge and, exactly observed, returns only
-  // counts()/qualities() — no per-ant work remains.
   ++round_;
 }
 
@@ -793,6 +837,7 @@ const std::vector<Outcome>& HomeNestBackend::step_all_go(
   const std::uint32_t k = num_nests();
   stats_ = RoundStats{};
   pairing_current_ = false;  // no pairing: this round's matching is empty
+  success_count_ = 0;
   stats_.gos = cfg_.num_ants;
   all_at_home_ = false;  // every location is written below
   if (cfg_.enforce_model) {

@@ -120,11 +120,14 @@ class HomeNestBackend final : public Backend {
 
   /// step_all_recruit without Outcomes, in SoA form: active[a] is ant a's
   /// b and targets[a] its advertised nest (both size n). The matching is
-  /// in last_pairing().
+  /// in last_pairing(). The pairing runs on the calling thread; the
+  /// matching bookkeeping after it runs as ant chunks on the round pool
+  /// (util/round_pool.hpp), with the same results at any chunk count.
   void step_all_recruit_quiet(std::span<const std::uint8_t> active,
                               std::span<const NestId> targets);
 
-  /// step_all_go without Outcomes; per-nest results are in counts().
+  /// step_all_go without Outcomes; per-nest results are in counts(). The
+  /// location writes and the census run as ant chunks on the round pool.
   void step_all_go_quiet(std::span<const NestId> targets);
 
   // --- masked SoA entry points --------------------------------------------
@@ -211,11 +214,13 @@ class HomeNestBackend final : public Backend {
   /// Ant-indexed view: whether `a` successfully recruited someone in the
   /// last round.
   [[nodiscard]] bool recruit_succeeded_ant(AntId a) const;
-  /// The ants that appear as the RECRUITER in a pair of the last quiet
-  /// recruit round's matching, in request order (each at most once —
-  /// matching validity). Valid after step_masked_recruit_quiet /
-  /// step_all_recruit_quiet; lets the driver attribute tandem runs vs
-  /// transports over the successes alone instead of scanning every ant.
+  /// The ants that appear as the RECRUITER in a pair of the LAST ROUND's
+  /// matching, listed in the order of the requests they recruited (each
+  /// at most once — matching validity). Every round entry point sets it:
+  /// empty after a round with no recruit calls (step_all_search/go, a
+  /// recruit-free masked or generic round). Lets the driver attribute
+  /// tandem runs vs transports over the successes alone instead of
+  /// scanning every ant.
   [[nodiscard]] std::span<const AntId> successful_recruiters() const {
     return {success_ants_.get(), success_count_};
   }
@@ -276,6 +281,18 @@ class HomeNestBackend final : public Backend {
   /// returns, tandem-run knowledge, the chunk's stat partials, and its
   /// successful recruiters staged at success_ants_[begin...].
   void matching_chunk(std::size_t c, std::size_t begin, std::size_t end);
+  /// After a matching walk over `items` requests run as `chunks` chunks
+  /// (matching_chunk / all_recruit_chunk): pack the chunks' staged
+  /// successful recruiters in chunk order and add their success, self
+  /// and cross-nest partials to stats_.
+  void merge_matching_chunks(std::size_t items, std::size_t chunks);
+  /// step_all_recruit_quiet's bookkeeping over ants [begin, end) (request
+  /// x is ant x): recruit returns, tandem-run knowledge, the chunk's
+  /// active count and stat partials, and its successful recruiters
+  /// staged at success_ants_[begin...].
+  void all_recruit_chunk(std::size_t c, AntId begin, AntId end,
+                         std::span<const std::uint8_t> active,
+                         std::span<const NestId> targets);
   /// Chunk c's slice of chunk_counts_ (k+1 entries).
   [[nodiscard]] std::uint32_t* chunk_counts(std::size_t c) {
     return chunk_counts_.data() + c * chunk_count_stride_;
@@ -323,17 +340,18 @@ class HomeNestBackend final : public Backend {
   // ant-indexed views must report an empty matching, not stale pairs.
   bool pairing_current_ = false;
   PairingScratch pairing_scratch_;      // reused each round
-  // Per-round results of the quiet recruit paths (see the accessors):
-  // success_ants_ holds this round's successful recruiters;
-  // recruit_result_[a] holds ant a's recruit() return value j. Both are
-  // filled by the matching-bookkeeping walk, which already touches every
-  // pair — capacity reserved at construction, zero allocations per round.
+  // Per-round results (see the accessors): success_ants_ holds this
+  // round's successful recruiters (every round path; empty after rounds
+  // without recruit calls); recruit_result_[a] holds ant a's recruit()
+  // return value j (quiet recruit paths). Both are filled by the
+  // matching-bookkeeping walk, which already touches every pair —
+  // capacity reserved at construction, zero allocations per round.
   std::unique_ptr<AntId[]> success_ants_;  // n slots; [0, success_count_) live
   std::size_t success_count_ = 0;
   std::vector<NestId> recruit_result_;
   RoundStats stats_;
 
-  /// One round-pool chunk's partial results in the fused round; merged
+  /// One round-pool chunk's partial results in the chunked rounds; merged
   /// by the caller after each join (integer sums, so chunk-count-free).
   struct ChunkPart {
     std::uint32_t first_request = 0;  ///< rank of the chunk's first request

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <numeric>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -55,8 +56,36 @@ void PermutationPairing::pair_active(std::span<const std::uint8_t> active,
   scratch.recruit_succeeded.assign(m, 0);
   if (m == 0) return;
 
-  // P: uniform random permutation of all ants in R (Algorithm 1, tie-breaker).
-  util::random_permutation_into(scratch.perm, m, rng);
+  // P: uniform random permutation of all ants in R (Algorithm 1,
+  // tie-breaker) — the batched Fisher–Yates of random_permutation_into,
+  // same draws and same stream advance. Only P's active ants matter to
+  // the walk below (an inactive ant is skipped), and Fisher–Yates
+  // finalizes P back to front, so each finalized ant is filed right away
+  // into a list of P's active ants growing downward from the end of the
+  // same buffer: perm[list, m) is that list in P order. Position i - 1 is
+  // final once iteration i has swapped, the shuffle never reads it again,
+  // and list - 1 >= i - 1 (at most m - i ants are filed), so the list
+  // write never clobbers a position the shuffle still needs. Branch-free:
+  // every finalized ant is written at list - 1, and only an active one
+  // advances the cursor.
+  std::vector<std::uint32_t>& perm = scratch.perm;
+  perm.resize(m);  // lint: capacity-reserved
+  std::iota(perm.begin(), perm.end(), 0u);
+  std::size_t list = m;
+  const auto file = [&](std::uint32_t x) {
+    perm[list - 1] = x;
+    list -= active[x] != 0 ? 1u : 0u;
+  };
+  {
+    util::BatchedDraws shuffle(rng);
+    for (std::size_t i = m; i > 1; --i) {
+      const std::size_t j = shuffle.uniform(i, i - 1);
+      const std::uint32_t x = perm[j];  // P(i - 1)
+      perm[j] = perm[i - 1];
+      file(x);
+    }
+    file(perm[0]);  // P(0)
+  }
 
   // The draw count of the loop below is data-dependent (an active ant
   // visited after being recruited draws nothing), so BatchedDraws needs a
@@ -67,15 +96,16 @@ void PermutationPairing::pair_active(std::span<const std::uint8_t> active,
   // 1 + floor((u - 1) / 2) draws (including the current one) remain.
   // Re-decrementing u for a chosen ant that already drew only tightens
   // the bound, so no visited bookkeeping is needed.
-  std::size_t u = 0;
-  for (const std::uint8_t b : active) u += b ? 1u : 0u;
+  std::size_t u = m - list;
   util::BatchedDraws draws(rng);
 
-  // First loop of Algorithm 1: build M in permutation order.
-  for (std::uint32_t x : scratch.perm) {
+  // First loop of Algorithm 1: build M in permutation order, visiting
+  // only P's active ants (the inactive ones fail line 3 and draw nothing).
+  for (std::size_t p = list; p < m; ++p) {
+    const std::uint32_t x = perm[p];
     // Line 3: a_P(i) ∈ S (active) and not already recruited. An ant can
     // appear as recruiter at most once because each x is visited once.
-    if (!active[x] || scratch.recruited_by[x] != kNotRecruited) continue;
+    if (scratch.recruited_by[x] != kNotRecruited) continue;
     // x leaves the pool by drawing now. u may already have been spent on
     // x's behalf (a recruitment decrement can land on an ant that had
     // drawn), so clamp at 0 — an undercount only tightens the bound.

@@ -65,7 +65,9 @@ struct PairingScratch {
   // active slots, `proposer_count` holds their drawn targets, `perm` and
   // `staged` the proposals (target, lottery entry) grouped by the chunk
   // owning the target, and `ticket` the lottery cells.
-  std::vector<std::uint32_t> perm;            ///< permutation buffer
+  std::vector<std::uint32_t> perm;            ///< permutation buffer (the
+                                              ///< permutation model leaves
+                                              ///< P's active ants at its tail)
   std::vector<std::uint8_t> active;           ///< request active flags, packed
                                               ///< to 1B for the random-order
                                               ///< matching loop
@@ -163,6 +165,10 @@ class PairingModel {
 ///   * in P-order, each active, not-yet-recruited ant draws a' uniformly
 ///     from all of R and the pair is added iff a' is in no pair yet;
 ///   * a' may equal the recruiter (self-recruitment; a no-op for the ant).
+/// The shuffle files P's active ants in P order as it finalizes them, so
+/// the walk visits only those; the draws, the stream advance and the
+/// matching are those of the literal loop (tests/test_pairing.cpp keeps
+/// it as the reference).
 class PermutationPairing final : public PairingModel {
  public:
   using PairingModel::pair_active;

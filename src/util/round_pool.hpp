@@ -3,8 +3,9 @@
 //
 // A round kernel (the fused observe+decide sweep, the environment's
 // classification pass, the counter-lottery propose loop, the matching
-// bookkeeping) is a loop over ants or request slots whose iterations touch
-// only their own lanes plus a few shared tallies. Such a loop is split into
+// bookkeeping, a colony-uniform round's decide, census and observe) is a
+// loop over ants or request slots whose iterations touch only their own
+// lanes plus a few shared tallies. Such a loop is split into
 // contiguous chunks; each chunk keeps its own partial tallies, and the
 // caller merges them after the join in chunk order. Every merge is an
 // integer sum or an order-independent max, so a result never depends on

@@ -4,6 +4,9 @@
 #include "env/environment.hpp"
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -530,6 +533,76 @@ TEST(Environment, SelfRecruitmentCountsInStats) {
   // A lone recruiter always pairs with itself (Lemma 3.1's remark).
   EXPECT_EQ(e.last_round_stats().self_recruitments, 1u);
   EXPECT_EQ(e.last_round_stats().successful_recruitments, 1u);
+}
+
+// successful_recruiters() describes the LAST round whatever entry point
+// ran it: the recruiters of that round's matching in the order of the ants
+// they recruited, and empty after a round without recruit calls. Each
+// probe round runs right after a quiet recruit round that left a
+// non-empty list behind, so a path that forgot to reset it shows up.
+TEST(Environment, SuccessfulRecruitersDescribeTheLastRoundOnEveryPath) {
+  constexpr std::uint32_t n = 64;
+  for (const PairingKind kind :
+       {PairingKind::kPermutation, PairingKind::kCounter}) {
+    Environment e(config(n, {1.0, 1.0, 0.0, 0.0}, 17),
+                  make_pairing_model(kind));
+    e.step_all_search();
+    std::vector<NestId> home(n);
+    for (AntId a = 0; a < n; ++a) home[a] = e.location(a);
+    const std::vector<std::uint8_t> all_active(n, 1);
+    std::vector<RecruitRequest> requests(n);
+    std::vector<Action> recruits(n);
+    std::vector<Action> gos(n);
+    std::vector<MaskedOp> mixed(n);
+    std::vector<MaskedOp> go_only(n, MaskedOp::kGo);
+    for (AntId a = 0; a < n; ++a) {
+      requests[a] = RecruitRequest{a, true, home[a]};
+      recruits[a] = Action::recruit(true, home[a]);
+      gos[a] = Action::go(home[a]);
+      mixed[a] = a % 3 == 0 ? MaskedOp::kGo : MaskedOp::kRecruit;
+    }
+
+    struct Probe {
+      const char* name;
+      bool recruits;
+      std::function<void()> run;
+    };
+    const std::vector<Probe> probes = {
+        {"step_all_search", false, [&] { e.step_all_search(); }},
+        {"step (go)", false, [&] { e.step(gos); }},
+        {"step (recruit)", true, [&] { e.step(recruits); }},
+        {"step_all_recruit", true, [&] { e.step_all_recruit(requests); }},
+        {"step_all_recruit_quiet", true,
+         [&] { e.step_all_recruit_quiet(all_active, home); }},
+        {"step_all_go", false, [&] { e.step_all_go(home); }},
+        {"step_all_go_quiet", false, [&] { e.step_all_go_quiet(home); }},
+        {"step_masked_recruit", true,
+         [&] { e.step_masked_recruit(mixed, all_active, home); }},
+        {"step_masked_recruit_quiet", true,
+         [&] { e.step_masked_recruit_quiet(mixed, all_active, home); }},
+        {"step_masked_go", false, [&] { e.step_masked_go(go_only, home); }},
+        {"step_masked_go_quiet", false,
+         [&] { e.step_masked_go_quiet(go_only, home); }},
+    };
+    for (const Probe& probe : probes) {
+      const std::string label =
+          std::string(pairing_name(kind)) + " / " + probe.name;
+      e.step_all_recruit_quiet(all_active, home);
+      ASSERT_FALSE(e.successful_recruiters().empty()) << label;
+      probe.run();
+      std::vector<AntId> want;
+      for (AntId a = 0; a < n; ++a) {
+        const std::int32_t by = e.recruited_by_ant(a);
+        if (by != kNotRecruited) want.push_back(static_cast<AntId>(by));
+      }
+      const std::vector<AntId> got(e.successful_recruiters().begin(),
+                                   e.successful_recruiters().end());
+      EXPECT_EQ(want, got) << label;
+      EXPECT_EQ(got.size(), e.last_round_stats().successful_recruitments)
+          << label;
+      EXPECT_EQ(got.empty(), !probe.recruits) << label;
+    }
+  }
 }
 
 }  // namespace

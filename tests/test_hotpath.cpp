@@ -4,6 +4,8 @@
 // operator new, so a regression (a stray vector copy, a pairing model
 // that forgets its scratch) fails loudly here rather than silently
 // costing a sweep 20% throughput.
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "core/simulation.hpp"
@@ -90,28 +92,36 @@ TEST(HotPath, PackedSimulationRoundNeverAllocates) {
     }
   }
 
-  // Threaded rounds: above util::kMinRoundChunk ants the masked round
-  // runs as chunks on the round pool. The first step warms it (the pool
-  // starts its threads lazily); after that neither the caller nor the
-  // workers may allocate — the counting operator new is global, so it
-  // sees allocations on the worker threads too.
+  // Threaded rounds: above util::kMinRoundChunk ants the masked
+  // counter-lottery round and the colony-uniform rounds run as chunks on
+  // the round pool. The first multi-chunk round warms it (the pool starts
+  // its threads lazily); after that neither the caller nor the workers may
+  // allocate — the counting operator new is global, so it sees
+  // allocations on the worker threads too.
   util::set_round_workers(4);
   cfg.num_ants = 4 * util::kMinRoundChunk;
-  cfg.pairing = env::PairingKind::kCounter;
   ASSERT_EQ(util::round_chunks(cfg.num_ants), 4u);
-  for (const core::AlgorithmKind kind :
-       {core::AlgorithmKind::kOptimal, core::AlgorithmKind::kOptimalSettle}) {
+  for (const auto& [kind, pairing] :
+       {std::pair{core::AlgorithmKind::kOptimal, env::PairingKind::kCounter},
+        std::pair{core::AlgorithmKind::kOptimalSettle,
+                  env::PairingKind::kCounter},
+        std::pair{core::AlgorithmKind::kSimple,
+                  env::PairingKind::kPermutation},
+        std::pair{core::AlgorithmKind::kQuorum,
+                  env::PairingKind::kPermutation}}) {
+    cfg.pairing = pairing;
     core::Simulation sim(cfg, kind);
     ASSERT_TRUE(sim.packed());
     sim.step();
-    sim.step();  // the first multi-chunk masked round grows the pool
+    sim.step();  // the first multi-chunk round grows the pool
     EXPECT_EQ(allocations_during([&] {
                 for (int round = 0; round < 60 && !sim.converged(); ++round) {
                   sim.step();
                 }
               }),
               0u)
-        << core::algorithm_name(kind) << " at 4 round workers";
+        << core::algorithm_name(kind) << " / " << env::pairing_name(pairing)
+        << " at 4 round workers";
   }
   util::set_round_workers(0);
 }

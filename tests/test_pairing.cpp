@@ -3,6 +3,8 @@
 #include "env/pairing.hpp"
 
 #include <cmath>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -306,6 +308,60 @@ TEST(PermutationPairing, Lemma21SuccessProbabilityAtLeastOneSixteenth) {
         static_cast<double>(successes) / (static_cast<double>(active) * kRounds);
     EXPECT_GE(p_hat, 1.0 / 16.0)
         << "active=" << active << " passive=" << passive;
+  }
+}
+
+/// Algorithm 1 written out literally: the full permutation P, then the walk
+/// over every position of P in order, one plain draw per visit.
+void literal_algorithm1(std::span<const std::uint8_t> active, util::Rng& rng,
+                        std::vector<std::int32_t>& recruited_by,
+                        std::vector<std::uint8_t>& recruit_succeeded) {
+  const std::size_t m = active.size();
+  recruited_by.assign(m, kNotRecruited);
+  recruit_succeeded.assign(m, 0);
+  if (m == 0) return;
+  std::vector<std::uint32_t> perm;
+  util::random_permutation_into(perm, m, rng);
+  for (const std::uint32_t x : perm) {
+    if (!active[x] || recruited_by[x] != kNotRecruited) continue;
+    const auto chosen = static_cast<std::uint32_t>(rng.uniform_u64(m));
+    if (recruit_succeeded[chosen] != 0 ||
+        recruited_by[chosen] != kNotRecruited) {
+      continue;
+    }
+    recruit_succeeded[x] = 1;
+    recruited_by[chosen] = static_cast<std::int32_t>(x);
+  }
+}
+
+TEST(PermutationPairing, MatchesTheLiteralAlgorithmDrawForDraw) {
+  // The model visits only P's active ants, filed as the shuffle finalizes
+  // them; the matching and the stream advance must be the literal loop's.
+  // The densities span a simple-uniform run from its late rounds (few
+  // active recruiters) to its early ones.
+  const PermutationPairing model;
+  for (const std::size_t m : {1u, 2u, 3u, 4096u}) {
+    for (const double density : {0.0, 0.07, 0.45, 1.0}) {
+      for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        std::vector<std::uint8_t> active(m);
+        util::Rng flags(seed * 1000 + m);
+        for (auto& b : active) b = flags.uniform_double() < density ? 1 : 0;
+        util::Rng want_rng(seed);
+        std::vector<std::int32_t> want_by;
+        std::vector<std::uint8_t> want_ok;
+        literal_algorithm1(active, want_rng, want_by, want_ok);
+
+        util::Rng got_rng(seed);
+        PairingScratch scratch;
+        model.pair_active(active, got_rng, scratch);
+        const std::string label = "m=" + std::to_string(m) +
+                                  " density=" + std::to_string(density) +
+                                  " seed=" + std::to_string(seed);
+        EXPECT_EQ(want_by, scratch.recruited_by) << label;
+        EXPECT_EQ(want_ok, scratch.recruit_succeeded) << label;
+        EXPECT_EQ(want_rng(), got_rng()) << label;
+      }
+    }
   }
 }
 

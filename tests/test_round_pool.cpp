@@ -12,6 +12,7 @@
 
 #include <array>
 #include <atomic>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -163,6 +164,27 @@ TEST(RoundPool, SimulationsBitIdenticalAtOneTwoAndEightWorkers) {
               std::to_string(seed));
     }
   }
+  // Permutation pairing: Algorithm 3 and the quorum baseline run
+  // colony-uniform rounds from round 2 on, whose decide, environment
+  // bookkeeping and observe kernels are chunked (the pairing walk stays
+  // serial).
+  {
+    const PinnedWorkers pinned(2);
+    ASSERT_EQ(util::round_chunks(kAnts), 2u);
+  }
+  for (const std::uint64_t seed : {3u, 17u}) {
+    core::SimulationConfig cfg = colony_config(seed);
+    cfg.pairing = env::PairingKind::kPermutation;
+    for (const core::AlgorithmKind kind :
+         {core::AlgorithmKind::kSimple, core::AlgorithmKind::kRateBoosted,
+          core::AlgorithmKind::kQualityAware,
+          core::AlgorithmKind::kUniformRecruit, core::AlgorithmKind::kQuorum}) {
+      expect_identical_across_workers(
+          cfg, kind,
+          std::string(core::algorithm_name(kind)) + ", permutation, seed " +
+              std::to_string(seed));
+    }
+  }
 }
 
 TEST(RoundPool, FaultedSimulationBitIdenticalAtOneTwoAndEightWorkers) {
@@ -182,7 +204,7 @@ TEST(RoundPool, FaultedSimulationBitIdenticalAtOneTwoAndEightWorkers) {
 
 // --- one environment round, lane by lane -----------------------------------
 
-/// Everything a masked-recruit round leaves behind that a caller can see.
+/// Everything a round leaves behind that a caller can see.
 struct RoundRecord {
   std::vector<env::NestId> locations;
   std::vector<std::uint32_t> counts;
@@ -194,17 +216,44 @@ struct RoundRecord {
   std::vector<std::uint8_t> knowledge;       ///< knows(a, i), flattened
 };
 
+/// Record `world` after a round whose per-ant calls were `op`.
+RoundRecord record_round(const env::HomeNestBackend& world,
+                         std::span<const env::MaskedOp> op) {
+  RoundRecord rec;
+  for (env::AntId a = 0; a < kAnts; ++a) {
+    rec.locations.push_back(world.location(a));
+    if (op[a] == env::MaskedOp::kRecruit) {
+      rec.recruit_results.push_back(world.recruit_results()[a]);
+    }
+    for (env::NestId i = 0; i <= world.num_nests(); ++i) {
+      rec.knowledge.push_back(world.knows(a, i) ? 1 : 0);
+    }
+  }
+  rec.counts.assign(world.counts().begin(), world.counts().end());
+  rec.stats = world.last_round_stats();
+  rec.recruited_by = world.last_pairing().recruited_by;
+  rec.recruit_succeeded = world.last_pairing().recruit_succeeded;
+  rec.successful_recruiters.assign(world.successful_recruiters().begin(),
+                                   world.successful_recruiters().end());
+  return rec;
+}
+
+env::EnvironmentConfig world_config(std::uint64_t seed) {
+  env::EnvironmentConfig ec;
+  ec.num_ants = kAnts;
+  ec.qualities = {1.0, 1.0, 1.0, 0.0, 0.5, 0.0, 1.0, 0.25};
+  ec.seed = seed;
+  ec.allow_idle = true;
+  return ec;
+}
+
 /// Drive a standalone home-nest world through a search round and then
 /// masked-recruit rounds of a fixed random op mix (one of them with a
 /// few searchers), recording every round.
 std::vector<RoundRecord> drive_backend(std::size_t workers) {
   const PinnedWorkers pinned(workers);
-  env::EnvironmentConfig ec;
-  ec.num_ants = kAnts;
-  ec.qualities = {1.0, 1.0, 1.0, 0.0, 0.5, 0.0, 1.0, 0.25};
-  ec.seed = 41;
-  ec.allow_idle = true;
-  env::HomeNestBackend world(ec, env::make_pairing_model(env::PairingKind::kCounter));
+  env::HomeNestBackend world(
+      world_config(41), env::make_pairing_model(env::PairingKind::kCounter));
   (void)world.step_all_search();
   std::vector<env::NestId> home_nest(kAnts);
   for (env::AntId a = 0; a < kAnts; ++a) home_nest[a] = world.location(a);
@@ -225,47 +274,77 @@ std::vector<RoundRecord> drive_backend(std::size_t workers) {
       targets[a] = home_nest[a];
     }
     world.step_masked_recruit_quiet(op, active, targets);
-
-    RoundRecord rec;
-    for (env::AntId a = 0; a < kAnts; ++a) {
-      rec.locations.push_back(world.location(a));
-      if (op[a] == env::MaskedOp::kRecruit) {
-        rec.recruit_results.push_back(world.recruit_results()[a]);
-      }
-      for (env::NestId i = 0; i <= world.num_nests(); ++i) {
-        rec.knowledge.push_back(world.knows(a, i) ? 1 : 0);
-      }
-    }
-    rec.counts.assign(world.counts().begin(), world.counts().end());
-    rec.stats = world.last_round_stats();
-    rec.recruited_by = world.last_pairing().recruited_by;
-    rec.recruit_succeeded = world.last_pairing().recruit_succeeded;
-    rec.successful_recruiters.assign(world.successful_recruiters().begin(),
-                                     world.successful_recruiters().end());
-    records.push_back(std::move(rec));
+    records.push_back(record_round(world, op));
   }
   return records;
+}
+
+/// Drive a standalone home-nest world under permutation pairing through a
+/// search round and then alternating colony-uniform recruit and go rounds
+/// (the quiet forms the packed engine calls), recording every round.
+std::vector<RoundRecord> drive_uniform_backend(std::size_t workers) {
+  const PinnedWorkers pinned(workers);
+  env::HomeNestBackend world(
+      world_config(43),
+      env::make_pairing_model(env::PairingKind::kPermutation));
+  (void)world.step_all_search();
+  std::vector<env::NestId> nest(kAnts);
+  for (env::AntId a = 0; a < kAnts; ++a) nest[a] = world.location(a);
+
+  util::Rng mix(7);
+  const std::vector<env::MaskedOp> recruit_ops(kAnts, env::MaskedOp::kRecruit);
+  const std::vector<env::MaskedOp> go_ops(kAnts, env::MaskedOp::kGo);
+  std::vector<std::uint8_t> active(kAnts);
+  std::vector<RoundRecord> records;
+  for (int round = 0; round < 6; ++round) {
+    if (round % 2 == 0) {
+      for (auto& b : active) b = mix.uniform_u64(3) == 0 ? 1 : 0;
+      world.step_all_recruit_quiet(active, nest);
+      records.push_back(record_round(world, recruit_ops));
+      // Recruited ants now know, and go to, their recruiter's nest.
+      for (env::AntId a = 0; a < kAnts; ++a) {
+        nest[a] = world.recruit_results()[a];
+      }
+    } else {
+      world.step_all_go_quiet(nest);
+      records.push_back(record_round(world, go_ops));
+    }
+  }
+  return records;
+}
+
+void expect_same_records(const std::vector<RoundRecord>& want,
+                         const std::vector<RoundRecord>& got,
+                         std::size_t workers) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    const std::string label =
+        std::to_string(workers) + " workers, round " + std::to_string(r);
+    EXPECT_EQ(want[r].locations, got[r].locations) << label;
+    EXPECT_EQ(want[r].counts, got[r].counts) << label;
+    EXPECT_TRUE(same_stats(want[r].stats, got[r].stats)) << label;
+    EXPECT_EQ(want[r].recruited_by, got[r].recruited_by) << label;
+    EXPECT_EQ(want[r].recruit_succeeded, got[r].recruit_succeeded) << label;
+    EXPECT_EQ(want[r].successful_recruiters, got[r].successful_recruiters)
+        << label;
+    EXPECT_EQ(want[r].recruit_results, got[r].recruit_results) << label;
+    EXPECT_EQ(want[r].knowledge, got[r].knowledge) << label;
+  }
 }
 
 TEST(RoundPool, BackendRoundBitIdenticalAtOneTwoAndEightWorkers) {
   const std::vector<RoundRecord> want = drive_backend(1);
   EXPECT_GT(want[3].stats.searches, 0u);  // the single-chunk fallback ran
   for (const std::size_t workers : {2u, 8u}) {
-    const std::vector<RoundRecord> got = drive_backend(workers);
-    ASSERT_EQ(want.size(), got.size());
-    for (std::size_t r = 0; r < want.size(); ++r) {
-      const std::string label =
-          std::to_string(workers) + " workers, round " + std::to_string(r);
-      EXPECT_EQ(want[r].locations, got[r].locations) << label;
-      EXPECT_EQ(want[r].counts, got[r].counts) << label;
-      EXPECT_TRUE(same_stats(want[r].stats, got[r].stats)) << label;
-      EXPECT_EQ(want[r].recruited_by, got[r].recruited_by) << label;
-      EXPECT_EQ(want[r].recruit_succeeded, got[r].recruit_succeeded) << label;
-      EXPECT_EQ(want[r].successful_recruiters, got[r].successful_recruiters)
-          << label;
-      EXPECT_EQ(want[r].recruit_results, got[r].recruit_results) << label;
-      EXPECT_EQ(want[r].knowledge, got[r].knowledge) << label;
-    }
+    expect_same_records(want, drive_backend(workers), workers);
+  }
+}
+
+TEST(RoundPool, UniformBackendRoundsBitIdenticalAtOneTwoAndEightWorkers) {
+  const std::vector<RoundRecord> want = drive_uniform_backend(1);
+  EXPECT_GT(want[0].stats.successful_recruitments, 0u);
+  for (const std::size_t workers : {2u, 8u}) {
+    expect_same_records(want, drive_uniform_backend(workers), workers);
   }
 }
 
