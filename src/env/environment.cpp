@@ -24,7 +24,6 @@ HomeNestBackend::HomeNestBackend(EnvironmentConfig cfg,
       observation_(observation ? std::move(observation)
                                : std::make_unique<ExactObservation>()),
       observe_exact_(observation_->exact()),
-      counter_pairing_(pairing_->counter_keyed()),
       rng_(cfg_.seed),
       pairing_seed_(util::mix_seed(cfg_.seed, kPairingSeedTag)) {
   HH_EXPECTS(cfg_.num_ants >= 1);
@@ -37,6 +36,9 @@ HomeNestBackend::HomeNestBackend(EnvironmentConfig cfg,
   knowledge_.assign(static_cast<std::size_t>(cfg_.num_ants) * (num_nests() + 1),
                     0);
   outcomes_.resize(cfg_.num_ants);
+  op_lane_ = std::make_unique_for_overwrite<MaskedOp[]>(cfg_.num_ants);
+  active_lane_ = std::make_unique_for_overwrite<std::uint8_t[]>(cfg_.num_ants);
+  target_lane_ = std::make_unique_for_overwrite<NestId[]>(cfg_.num_ants);
   // Every per-round buffer is sized for the worst case up front so that
   // step() never allocates (see the invariant in the header).
   requests_.reserve(cfg_.num_ants);
@@ -150,250 +152,88 @@ void HomeNestBackend::validate(AntId a, const Action& action) const {
   }
 }
 
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-template <bool kLoud, typename ActionAt>
-void HomeNestBackend::round_phase1(const ActionAt& action_at) {
-  const std::uint32_t k = num_nests();
-  stats_ = RoundStats{};
-  requests_.clear();
-  requests_ant_indexed_ = false;
-  pairing_current_ = true;  // every step_rows round runs the pairing
-  success_count_ = 0;
-  if (all_at_home_) {
-    // Materialize the lazy locations of a preceding step_all_recruit()
-    // round: the kIdle branch below reads location_ in place.
-    std::fill(location_.begin(), location_.end(), kHomeNest);
-    all_at_home_ = false;
-  }
+namespace {
 
-  // Validate and apply all location updates simultaneously.
-  for (AntId a = 0; a < cfg_.num_ants; ++a) {
-    const Action action = action_at(a);
-    if (cfg_.enforce_model) validate(a, action);
-    request_index_[a] = kNoRequest;
-    switch (action.kind) {
-      case ActionKind::kSearch: {
-        // search(): i chosen uniformly at random from {1..k}.
-        const auto found = static_cast<NestId>(1 + rng_.uniform_u64(k));
-        location_[a] = found;
-        grant_knowledge(a, found);
-        if constexpr (kLoud) {
-          outcomes_[a] =
-              Outcome{ActionKind::kSearch, found, 0.0, 0, false, false};
-        }
-        ++stats_.searches;
-        break;
-      }
-      case ActionKind::kGo:
-        location_[a] = action.target;
-        if constexpr (kLoud) {
-          outcomes_[a] =
-              Outcome{ActionKind::kGo, action.target, 0.0, 0, false, false};
-        }
-        ++stats_.gos;
-        break;
-      case ActionKind::kRecruit:
-        location_[a] = kHomeNest;  // recruitment happens at the home nest
-        request_index_[a] = static_cast<std::uint32_t>(requests_.size());
-        requests_.push_back(RecruitRequest{a, action.active, action.target});  // lint: capacity-reserved
-        if constexpr (kLoud) {
-          outcomes_[a] = Outcome{ActionKind::kRecruit, action.target, 0.0, 0,
-                                 false, false};
-        }
-        if (action.active) {
-          ++stats_.active_recruits;
-        } else {
-          ++stats_.passive_recruits;
-        }
-        break;
-      case ActionKind::kIdle:
-        if constexpr (kLoud) {
-          outcomes_[a] =
-              Outcome{ActionKind::kIdle, location_[a], 0.0, 0, false, false};
-        }
-        ++stats_.idles;
-        break;
-    }
+MaskedOp masked_op(ActionKind kind) {
+  switch (kind) {
+    case ActionKind::kSearch: return MaskedOp::kSearch;
+    case ActionKind::kGo: return MaskedOp::kGo;
+    case ActionKind::kRecruit: return MaskedOp::kRecruit;
+    case ActionKind::kIdle: break;
   }
+  return MaskedOp::kIdle;
 }
 
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-template <typename ActionAt>
-const std::vector<Outcome>& HomeNestBackend::step_rows(const ActionAt& action_at) {
-  const std::uint32_t k = num_nests();
-  // Phase 1 (shared with the quiet form).
-  round_phase1<true>(action_at);
-
-  // Phase 2: the centralized pairing process (Algorithm 1 by default),
-  // writing into the environment-owned scratch buffers. The ctx keys
-  // counter-based models on (pairing_seed_, executing round); sequential
-  // models read only the rng.
-  pairing_->pair_into(requests_, PairingCtx{rng_, pairing_seed_, round_ + 1},
-                      pairing_scratch_);
-  HH_ENSURES(pairing_scratch_.recruited_by.size() == requests_.size());
-  HH_ENSURES(pairing_scratch_.recruit_succeeded.size() == requests_.size());
-
-  // Phase 3: end-of-round counts c(i, r).
-  count_.assign(k + 1, 0);
-  for (AntId a = 0; a < cfg_.num_ants; ++a) ++count_[location_[a]];
-
-  // Phase 4: deliver return values and update knowledge. The exact
-  // observation model is the identity and draws no randomness, so the hot
-  // path skips its virtual calls entirely (observe_exact_).
-  for (AntId a = 0; a < cfg_.num_ants; ++a) {
-    Outcome& out = outcomes_[a];
-    switch (out.kind) {
-      case ActionKind::kSearch: {
-        // (Knowledge of the found nest was granted in phase 1.)
-        const double q = quality(out.nest);
-        out.quality =
-            observe_exact_ ? q : observation_->perceive_quality(q, rng_);
-        out.count = observe_exact_
-                        ? count_[out.nest]
-                        : observation_->perceive_count(count_[out.nest], rng_);
-        break;
-      }
-      case ActionKind::kGo: {
-        out.count = observe_exact_
-                        ? count_[out.nest]
-                        : observation_->perceive_count(count_[out.nest], rng_);
-        // Extension beyond the paper's go() signature: a visiting ant can
-        // re-assess the nest it is standing in. The paper's algorithms
-        // ignore this field; the Section 6 quality-aware variant uses it.
-        const double q = quality(out.nest);
-        out.quality =
-            observe_exact_ ? q : observation_->perceive_quality(q, rng_);
-        break;
-      }
-      case ActionKind::kRecruit: {
-        const std::uint32_t idx = request_index_[a];
-        const std::int32_t recruiter = pairing_scratch_.recruited_by[idx];
-        if (recruiter != kNotRecruited) {
-          // Return value j is the recruiter's advertised nest (Algorithm 1
-          // lines 8-10); the ant learns that nest's location (tandem run).
-          const AntId from = requests_[static_cast<std::size_t>(recruiter)].ant;
-          out.nest = requests_[static_cast<std::size_t>(recruiter)].target;
-          out.recruited = true;
-          ++stats_.successful_recruitments;
-          success_ants_[success_count_++] = from;
-          if (from == a) ++stats_.self_recruitments;
-          // requests_[idx].target is the ant's own advertised nest.
-          if (out.nest != requests_[idx].target) {
-            ++stats_.cross_nest_recruitments;
-          }
-          if (out.nest != kHomeNest) grant_knowledge(a, out.nest);
-        }
-        out.recruit_succeeded = pairing_scratch_.recruit_succeeded[idx] != 0;
-        out.count = observe_exact_
-                        ? count_[kHomeNest]
-                        : observation_->perceive_count(count_[kHomeNest], rng_);
-        break;
-      }
-      case ActionKind::kIdle:
-        break;
-    }
-  }
-
-  ++round_;
-  return outcomes_;
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-template <typename ActionAt>
-void HomeNestBackend::step_rows_quiet(const ActionAt& action_at) {
-  // The Outcome-free core: the SAME phase-1/pairing/count bookkeeping and
-  // RNG draws as step_rows (exact observation draws nothing in phase 4),
-  // but the per-ant return values are never materialized — callers read
-  // last_pairing()/recruited_by_ant()/counts()/location() directly.
-  HH_EXPECTS(observe_exact_);
-  const std::uint32_t k = num_nests();
-  round_phase1<false>(action_at);
-
-  pairing_->pair_into(requests_, PairingCtx{rng_, pairing_seed_, round_ + 1},
-                      pairing_scratch_);
-  HH_ENSURES(pairing_scratch_.recruited_by.size() == requests_.size());
-
-  count_.assign(k + 1, 0);
-  for (AntId a = 0; a < cfg_.num_ants; ++a) ++count_[location_[a]];
-
-  // Matching bookkeeping (stats + tandem-run knowledge), indexed by
-  // request position x (request x's caller is requests_[x].ant). The same
-  // walk fills the ant-indexed recruit() return values and the successful-
-  // recruiter list the quiet observers read back.
-  matching_chunk(0, 0, requests_.size());
-  merge_matching_chunks(requests_.size(), 1);
-
-  ++round_;
-}
+}  // namespace
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 const std::vector<Outcome>& HomeNestBackend::step(std::span<const Action> actions) {
   HH_EXPECTS(actions.size() == cfg_.num_ants);
-  return step_rows([&](AntId a) { return actions[a]; });
-}
-
-namespace {
-
-/// Adapter: the masked SoA lanes as an Action-yielding row accessor.
-struct MaskedRows {
-  std::span<const MaskedOp> op;
-  std::span<const std::uint8_t> active;
-  std::span<const NestId> targets;
-
-  Action operator()(AntId a) const {
-    switch (op[a]) {
-      case MaskedOp::kGo: return Action::go(targets[a]);
-      case MaskedOp::kRecruit: return Action::recruit(active[a] != 0, targets[a]);
-      case MaskedOp::kSearch: return Action::search();
-      case MaskedOp::kIdle: break;
-    }
-    return Action::idle();
+  const AntId n = cfg_.num_ants;
+  for (AntId a = 0; a < n; ++a) {
+    op_lane_[a] = masked_op(actions[a].kind);
+    active_lane_[a] = actions[a].active ? 1 : 0;
+    target_lane_[a] = actions[a].target;
   }
-};
-
-}  // namespace
+  const std::span<const MaskedOp> op(op_lane_.get(), n);
+  masked_round(op, {active_lane_.get(), n}, {target_lane_.get(), n});
+  return deliver_outcomes(op);
+}
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 const std::vector<Outcome>& HomeNestBackend::step_masked_recruit(
     std::span<const MaskedOp> op, std::span<const std::uint8_t> active,
     std::span<const NestId> targets) {
-  HH_EXPECTS(op.size() == cfg_.num_ants);
   HH_EXPECTS(active.size() == cfg_.num_ants);
-  HH_EXPECTS(targets.size() == cfg_.num_ants);
-  return step_rows(MaskedRows{op, active, targets});
+  masked_round(op, active, targets);
+  return deliver_outcomes(op);
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 void HomeNestBackend::step_masked_recruit_quiet(
     std::span<const MaskedOp> op, std::span<const std::uint8_t> active,
     std::span<const NestId> targets) {
-  HH_EXPECTS(op.size() == cfg_.num_ants);
+  HH_EXPECTS(observe_exact_);
   HH_EXPECTS(active.size() == cfg_.num_ants);
-  HH_EXPECTS(targets.size() == cfg_.num_ants);
-  if (counter_pairing_) {
-    step_masked_recruit_fused(op, active, targets);
-    return;
-  }
-  step_rows_quiet(MaskedRows{op, active, targets});
+  masked_round(op, active, targets);
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-void HomeNestBackend::step_masked_recruit_fused(
-    std::span<const MaskedOp> op, std::span<const std::uint8_t> active,
-    std::span<const NestId> targets) {
-  // The counter-keyed fast round, observably identical to
-  // step_rows_quiet(MaskedRows{...}) — same RNG consumption, locations,
-  // counts, knowledge, stats, matching, and ant-indexed views — but in
-  // two passes instead of four. Legality of the reordering:
-  //   * the only shared-stream draws in a masked-recruit round are the
-  //     search landings, made below in ant order exactly as
-  //     round_phase1 makes them;
-  //   * a counter_keyed() model's KEYED pair_active (round != 0, always
-  //     the case here) draws nothing from the shared stream, so running
-  //     the census before the pairing instead of after it is invisible;
-  //   * the lottery is keyed on dense request ranks, and the
-  //     classification pass below assigns ranks in ant order — the same
-  //     ranks requests_.push_back() assigns on the generic path.
+const std::vector<Outcome>& HomeNestBackend::step_masked_go(
+    std::span<const MaskedOp> op, std::span<const NestId> targets) {
+  // No recruiters: the request list stays empty and pair_active() on an
+  // empty span draws nothing, so this is step() with the same
+  // (recruit-free) action vector.
+  masked_round(op, {}, targets);
+  return deliver_outcomes(op);
+}
+
+// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+void HomeNestBackend::step_masked_go_quiet(std::span<const MaskedOp> op,
+                                           std::span<const NestId> targets) {
+  HH_EXPECTS(observe_exact_);
+  masked_round(op, {}, targets);
+}
+
+// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+void HomeNestBackend::masked_round(std::span<const MaskedOp> op,
+                                   std::span<const std::uint8_t> active,
+                                   std::span<const NestId> targets) {
+  // The paper's four phases — locations, matching, counts, return values —
+  // in two passes plus the pairing: pass 1 classifies every ant, moves it,
+  // makes the search draws, packs the requests AND takes the census; the
+  // pairing runs on the packed flags; pass 2 (matching_chunk) does the
+  // matching bookkeeping. The loud forms then deliver the return values
+  // (deliver_outcomes). Why this is the four-phase round, draw for draw,
+  // under every pairing and observation model:
+  //   * the shared-stream draws before the return values are the search
+  //     landings and the pairing's own; pass 1 makes the landings in ant
+  //     order and before the pairing, where phase 1 makes them;
+  //   * the census draws nothing and reads only the locations pass 1 has
+  //     just written, so taking it ahead of the pairing changes nothing;
+  //   * pass 1 assigns the request ranks in ant order — the order in
+  //     which phase 1 appends requests — so every model sees the same
+  //     flags in the same slots.
   // Both passes run as chunks on the round pool. Chunking changes no
   // result: every chunk writes only its own ants' lanes and its own
   // requests' rows, the ranks are the serial ones (an exclusive scan over
@@ -401,14 +241,16 @@ void HomeNestBackend::step_masked_recruit_fused(
   // the shared counts/stats are per-chunk partials summed after the join.
   // The one order-dependent draw — a search landing from the shared
   // stream — forces pass 1 to a single chunk whenever any ant searches.
-  HH_EXPECTS(observe_exact_);
+  // `active` is empty for the recruit-free go rounds.
   const std::uint32_t k = num_nests();
   const AntId n = cfg_.num_ants;
+  HH_EXPECTS(op.size() == n);
+  HH_EXPECTS(targets.size() == n);
   requests_ant_indexed_ = false;
   pairing_current_ = true;
   if (all_at_home_) {
     // Materialize the lazy locations of a preceding step_all_recruit()
-    // round: the kIdle branch below reads location_ in place.
+    // round: the kIdle branch of pass 1 reads location_ in place.
     std::fill(location_.begin(), location_.end(), kHomeNest);
     all_at_home_ = false;
   }
@@ -443,9 +285,9 @@ void HomeNestBackend::step_masked_recruit_fused(
     chunk_[0].requests = n;  // a bound: the rank cursor never passes it
   }
   util::run_chunks(chunks, [&](std::size_t c) {
-    fused_pass1_chunk(c, static_cast<AntId>(util::chunk_begin(n, chunks, c)),
-                      static_cast<AntId>(util::chunk_begin(n, chunks, c + 1)),
-                      op, active, targets);
+    pass1_chunk(c, static_cast<AntId>(util::chunk_begin(n, chunks, c)),
+                static_cast<AntId>(util::chunk_begin(n, chunks, c + 1)), op,
+                active, targets);
   });
   stats_ = RoundStats{};
   std::fill(count_.begin(), count_.end(), 0u);
@@ -460,12 +302,13 @@ void HomeNestBackend::step_masked_recruit_fused(
     const std::uint32_t* counts = chunk_counts(c);
     for (std::uint32_t i = 0; i <= k; ++i) count_[i] += counts[i];
   }
+  HH_ASSERT(mreq == 0 || !active.empty());  // recruit ops need their b lane
   stats_.passive_recruits = mreq - stats_.active_recruits;
   requests_.resize(mreq);  // lint: capacity-reserved
   pairing_scratch_.active.resize(mreq);  // lint: capacity-reserved
 
-  // The keyed lottery over the dense ranks (scratch.active holds the
-  // packed flags, the same buffer pair_into packs; the model chunks its
+  // The pairing over the dense ranks (scratch.active holds the packed
+  // flags, the same buffer pair_into packs; the counter lottery chunks its
   // own propose loop), then the matching bookkeeping over request chunks.
   pairing_->pair_active(pairing_scratch_.active,
                         PairingCtx{rng_, pairing_seed_, round_ + 1},
@@ -479,6 +322,60 @@ void HomeNestBackend::step_masked_recruit_fused(
   merge_matching_chunks(mreq, match_chunks);
 
   ++round_;
+}
+
+// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
+const std::vector<Outcome>& HomeNestBackend::deliver_outcomes(
+    std::span<const MaskedOp> op) {
+  // The return values of the round masked_round just ran, in ant order.
+  // A noisy model's perception draws come after the pairing's and in this
+  // order per ant: search = quality then count, go = count then the
+  // re-assessed quality, recruit = the home count. The exact model is the
+  // identity and draws nothing, so it skips the virtual calls.
+  const auto perceived_count = [&](NestId i) {
+    return observe_exact_ ? count_[i]
+                          : observation_->perceive_count(count_[i], rng_);
+  };
+  const auto perceived_quality = [&](NestId i) {
+    const double q = quality(i);
+    return observe_exact_ ? q : observation_->perceive_quality(q, rng_);
+  };
+  for (AntId a = 0; a < cfg_.num_ants; ++a) {
+    Outcome& out = outcomes_[a];
+    const NestId at = location_[a];
+    switch (op[a]) {
+      case MaskedOp::kSearch: {
+        // (Knowledge of the found nest was granted in pass 1.)
+        const double q = perceived_quality(at);
+        out = Outcome{ActionKind::kSearch, at, q, perceived_count(at), false,
+                      false};
+        break;
+      }
+      case MaskedOp::kGo: {
+        // Extension beyond the paper's go() signature: a visiting ant can
+        // re-assess the nest it is standing in. The paper's algorithms
+        // ignore the quality; the Section 6 quality-aware variant uses it.
+        const std::uint32_t c = perceived_count(at);
+        out = Outcome{ActionKind::kGo, at, perceived_quality(at), c, false,
+                      false};
+        break;
+      }
+      case MaskedOp::kRecruit: {
+        // Return value j: the recruiter's advertised nest (Algorithm 1
+        // lines 8-10) or the ant's own target; matching_chunk stored it.
+        const std::uint32_t x = request_index_[a];
+        out = Outcome{ActionKind::kRecruit, recruit_result_[a], 0.0,
+                      perceived_count(kHomeNest),
+                      pairing_scratch_.recruited_by[x] != kNotRecruited,
+                      pairing_scratch_.recruit_succeeded[x] != 0};
+        break;
+      }
+      case MaskedOp::kIdle:
+        out = Outcome{ActionKind::kIdle, at, 0.0, 0, false, false};
+        break;
+    }
+  }
+  return outcomes_;
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -501,15 +398,14 @@ void HomeNestBackend::merge_matching_chunks(std::size_t items,
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-void HomeNestBackend::fused_pass1_chunk(std::size_t c, AntId begin, AntId end,
-                                        std::span<const MaskedOp> op,
-                                        std::span<const std::uint8_t> active,
-                                        std::span<const NestId> targets) {
+void HomeNestBackend::pass1_chunk(std::size_t c, AntId begin, AntId end,
+                                  std::span<const MaskedOp> op,
+                                  std::span<const std::uint8_t> active,
+                                  std::span<const NestId> targets) {
   // Classification, location updates, search draws, request packing (AoS
-  // row + the dense active-flag lane the lottery reads), stats, AND the
-  // count scatter, one ant-order sweep. The generic path's separate
-  // census reads location_ back after phase 1; here each ant's
-  // end-of-round location is still in register.
+  // row + the dense active-flag lane the pairing reads), stats, AND the
+  // count scatter, one ant-order sweep: each ant's end-of-round location
+  // is still in register when it is counted.
   //
   // The go/recruit pair — the whole colony from round 2 on — is handled
   // branch-free: the op mix is irregular at steady state (each ant's
@@ -529,6 +425,7 @@ void HomeNestBackend::fused_pass1_chunk(std::size_t c, AntId begin, AntId end,
   RecruitRequest* const req_rows = requests_.data();
   std::uint8_t* const flag_rows = pairing_scratch_.active.data();
   const std::uint32_t rank_end = part.first_request + part.requests;
+  const bool has_flags = !active.empty();  // false in the go rounds
   RecruitRequest dummy_row;
   std::uint8_t dummy_flag = 0;
   std::uint32_t mreq = part.first_request;
@@ -540,12 +437,11 @@ void HomeNestBackend::fused_pass1_chunk(std::size_t c, AntId begin, AntId end,
     const MaskedOp o = op[a];
     if (o == MaskedOp::kGo || o == MaskedOp::kRecruit) [[likely]] {
       const bool r = o == MaskedOp::kRecruit;
-      if (cfg_.enforce_model) {
-        validate(a, r ? Action::recruit(active[a] != 0, targets[a])
-                      : Action::go(targets[a]));
-      }
+      const std::uint8_t b = has_flags && active[a] != 0 ? 1 : 0;
       const NestId tgt = targets[a];
-      const std::uint8_t b = active[a] != 0 ? 1 : 0;
+      if (cfg_.enforce_model) {
+        validate(a, r ? Action::recruit(b != 0, tgt) : Action::go(tgt));
+      }
       const NestId loc = r ? kHomeNest : tgt;
       location_[a] = loc;
       ++counts[loc];
@@ -557,9 +453,8 @@ void HomeNestBackend::fused_pass1_chunk(std::size_t c, AntId begin, AntId end,
       n_go += r ? 0u : 1u;
       n_rec_active += (r && b != 0) ? 1u : 0u;
     } else if (o == MaskedOp::kSearch) {
-      // search(): i chosen uniformly at random from {1..k} — the same
-      // draw, in the same ant order, as round_phase1 (single-chunk
-      // rounds only; see step_masked_recruit_fused).
+      // search(): i chosen uniformly at random from {1..k}, in ant order
+      // (single-chunk rounds only; see masked_round).
       const auto found = static_cast<NestId>(1 + rng_.uniform_u64(k));
       request_index_[a] = kNoRequest;
       location_[a] = found;
@@ -611,31 +506,6 @@ void HomeNestBackend::matching_chunk(std::size_t c, std::size_t begin,
   part.successes = successes;
   part.self_recruitments = self;
   part.cross_nest_recruitments = cross;
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-const std::vector<Outcome>& HomeNestBackend::step_masked_go(
-    std::span<const MaskedOp> op, std::span<const NestId> targets) {
-  HH_EXPECTS(op.size() == cfg_.num_ants);
-  HH_EXPECTS(targets.size() == cfg_.num_ants);
-  // No recruiters: the request list stays empty and pair_active() on an
-  // empty span draws nothing, so sharing step_rows keeps this
-  // RNG-equivalent to step() with the same (recruit-free) action vector.
-  return step_rows([&](AntId a) {
-    HH_ASSERT(op[a] != MaskedOp::kRecruit);
-    return MaskedRows{op, {}, targets}(a);
-  });
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-void HomeNestBackend::step_masked_go_quiet(std::span<const MaskedOp> op,
-                                       std::span<const NestId> targets) {
-  HH_EXPECTS(op.size() == cfg_.num_ants);
-  HH_EXPECTS(targets.size() == cfg_.num_ants);
-  step_rows_quiet([&](AntId a) {
-    HH_ASSERT(op[a] != MaskedOp::kRecruit);
-    return MaskedRows{op, {}, targets}(a);
-  });
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)

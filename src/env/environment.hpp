@@ -77,7 +77,9 @@ class HomeNestBackend final : public Backend {
   /// (all round state — outcomes, requests, pairing scratch — is owned by
   /// this object and reused; the only allocating path is the throw on a
   /// model violation). tests/test_hotpath.cpp asserts this with a
-  /// counting operator new.
+  /// counting operator new. Runs the masked entry points' round body
+  /// (below), so from 2 * util::kMinRoundChunk ants on it uses the round
+  /// pool too.
   const std::vector<Outcome>& step(std::span<const Action> actions) override;
 
   // --- SoA round-shape fast paths -----------------------------------------
@@ -134,10 +136,13 @@ class HomeNestBackend final : public Backend {
   // Mixed-phase rounds in SoA form: op[a] selects ant a's call (see
   // MaskedOp), targets[a] its go destination or advertised nest, active[a]
   // its b for recruits. RNG-equivalent to step() with the corresponding
-  // action vector — both run the same row-level core — so packs whose
-  // rounds are NOT colony-uniform (per-ant phase lanes, fault lanes) keep
-  // the zero-allocation contract instead of falling back to per-object
-  // dispatch. tests/test_environment.cpp pins the equivalence.
+  // action vector — step() packs its Actions into these lanes and runs
+  // the same round body — so packs whose rounds are NOT colony-uniform
+  // (per-ant phase lanes, fault lanes) keep the zero-allocation contract
+  // instead of falling back to per-object dispatch. The body runs as
+  // chunks on the round pool (util/round_pool.hpp) with the same results
+  // at any chunk count. tests/test_environment.cpp pins every entry point
+  // to a literal four-phase reference round.
 
   /// One mixed round that may contain recruiters. After it,
   /// last_pairing() holds the matching (indexed by request position) and
@@ -225,10 +230,11 @@ class HomeNestBackend final : public Backend {
     return {success_ants_.get(), success_count_};
   }
   /// recruit_results()[a] = the recruit(b, i) return value j for every
-  /// ant whose op was kRecruit in the last quiet recruit round: the
-  /// recruiter's advertised nest when `a` was recruited, a's own target
-  /// otherwise. Entries of ants that made no recruit() call are stale —
-  /// callers must consult it only for their recruit lanes. One
+  /// ant that called recruit() in the last step(), step_masked_* or
+  /// step_all_recruit_quiet round: the recruiter's advertised nest when
+  /// `a` was recruited, a's own target otherwise. Entries of ants that
+  /// made no recruit() call are stale — callers must consult it only
+  /// for their recruit lanes. One
   /// sequential lane load where recruited_by_ant() chases the
   /// request-index indirection plus two dependent random loads.
   [[nodiscard]] std::span<const NestId> recruit_results() const {
@@ -250,33 +256,27 @@ class HomeNestBackend final : public Backend {
   void validate(AntId a, const Action& action) const;
   void grant_knowledge(AntId a, NestId i);
 
-  /// The row-level core every generic/masked round goes through:
-  /// `action_at(a)` yields ant a's Action. step() and the masked entry
-  /// points are thin adapters over these two, which is what makes them
-  /// RNG-equivalent by construction.
-  template <typename ActionAt>
-  const std::vector<Outcome>& step_rows(const ActionAt& action_at);
-  /// The Outcome-free form (exact observation only): same bookkeeping,
-  /// no per-ant return values materialized.
-  template <typename ActionAt>
-  void step_rows_quiet(const ActionAt& action_at);
-  /// step_masked_recruit_quiet for counter-keyed pairing models: one
-  /// fused pass does classification, the search draws, request packing,
-  /// AND the count census, then runs the keyed lottery and the matching
-  /// bookkeeping. Observably identical to the generic path — see the
-  /// legality argument at the definition. Exact observation only. Both
-  /// passes run as ant/request chunks on the round pool
-  /// (util/round_pool.hpp); the chunk kernels are the two below.
-  void step_masked_recruit_fused(std::span<const MaskedOp> op,
-                                 std::span<const std::uint8_t> active,
-                                 std::span<const NestId> targets);
-  /// Pass 1 of the fused round over ants [begin, end): classification,
+  /// The one round body behind step() and every masked entry point, for
+  /// every pairing and observation model: pass 1 (classification,
+  /// locations, search draws, request ranks and the census), the pairing,
+  /// then the matching bookkeeping — the paper's phases 1-3; see the
+  /// draw-order argument at the definition. Both passes run as ant/request
+  /// chunks on the round pool (util/round_pool.hpp); the chunk kernels are
+  /// the two below. `active` is empty in rounds without recruit ops.
+  void masked_round(std::span<const MaskedOp> op,
+                    std::span<const std::uint8_t> active,
+                    std::span<const NestId> targets);
+  /// Phase 4 of the loud forms, after masked_round: one ant-order pass
+  /// filling outcomes_, with a noisy model's perception draws in the
+  /// order the paper's round has always made them.
+  const std::vector<Outcome>& deliver_outcomes(std::span<const MaskedOp> op);
+  /// Pass 1 of masked_round over ants [begin, end): classification,
   /// locations, request rows from rank chunk_[c].first_request on, and
   /// the chunk's count/stat partials.
-  void fused_pass1_chunk(std::size_t c, AntId begin, AntId end,
-                         std::span<const MaskedOp> op,
-                         std::span<const std::uint8_t> active,
-                         std::span<const NestId> targets);
+  void pass1_chunk(std::size_t c, AntId begin, AntId end,
+                   std::span<const MaskedOp> op,
+                   std::span<const std::uint8_t> active,
+                   std::span<const NestId> targets);
   /// The matching bookkeeping over requests [begin, end): recruit
   /// returns, tandem-run knowledge, the chunk's stat partials, and its
   /// successful recruiters staged at success_ants_[begin...].
@@ -297,20 +297,11 @@ class HomeNestBackend final : public Backend {
   [[nodiscard]] std::uint32_t* chunk_counts(std::size_t c) {
     return chunk_counts_.data() + c * chunk_count_stride_;
   }
-  /// Phase 1 shared by both forms — validation, location updates, the
-  /// search landing draws, request building, stats — ONE copy so the
-  /// loud and quiet paths cannot drift apart. kLoud additionally seeds
-  /// the per-ant Outcome rows phase 4 completes.
-  template <bool kLoud, typename ActionAt>
-  void round_phase1(const ActionAt& action_at);
 
   EnvironmentConfig cfg_;
   std::unique_ptr<PairingModel> pairing_;
   std::unique_ptr<ObservationModel> observation_;
   bool observe_exact_;  // cached observation_->exact(): branch, not virtual call
-  // Cached pairing_->counter_keyed(): selects the fused masked-recruit
-  // round (a branch per round, not a virtual call).
-  bool counter_pairing_ = false;
   util::Rng rng_;
   // Stable key for counter-based pairing streams, derived from cfg_.seed
   // at construction AND reset (identically — the arena-reuse invariant).
@@ -329,6 +320,12 @@ class HomeNestBackend final : public Backend {
   // branch-free byte loads/stores on the validation and knowledge paths.
   std::vector<std::uint8_t> knowledge_;
   std::vector<Outcome> outcomes_;       // reused each round
+  // step()'s Actions packed into masked_round's op/active/target lanes.
+  // Written in full before every read, so left uninitialized: construction
+  // touches none of their pages.
+  std::unique_ptr<MaskedOp[]> op_lane_;
+  std::unique_ptr<std::uint8_t[]> active_lane_;
+  std::unique_ptr<NestId[]> target_lane_;
   std::vector<RecruitRequest> requests_;  // reused each round
   std::vector<std::uint32_t> request_index_;  // ant -> index into requests_
   // True when the last recruit-bearing round used the all-recruit entry

@@ -150,14 +150,6 @@ class PairingModel {
 
   /// Short stable identifier for reports.
   [[nodiscard]] virtual std::string_view name() const = 0;
-
-  /// True when KEYED calls (PairingCtx::round != 0) draw nothing from the
-  /// shared ctx.rng — every draw comes from per-slot counter streams. The
-  /// environment's fused round path relies on this: it reorders the
-  /// pairing relative to the census and the classification pass, which is
-  /// RNG-invisible exactly when the pairing cannot consume shared-stream
-  /// randomness. Sequential models must leave this false.
-  [[nodiscard]] virtual bool counter_keyed() const { return false; }
 };
 
 /// The paper's Algorithm 1, implemented literally:
@@ -212,7 +204,6 @@ class CounterLotteryPairing final : public PairingModel {
   void pair_active(std::span<const std::uint8_t> active, const PairingCtx& ctx,
                    PairingScratch& scratch) const override;
   [[nodiscard]] std::string_view name() const override { return "counter-lottery"; }
-  [[nodiscard]] bool counter_keyed() const override { return true; }
 };
 
 /// Selector for configs that must stay copyable (strategy objects are not).

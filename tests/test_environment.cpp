@@ -3,14 +3,20 @@
 // per-round statistics.
 #include "env/environment.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
+#include "util/round_pool.hpp"
 
 namespace hh::env {
 namespace {
@@ -22,6 +28,252 @@ EnvironmentConfig config(std::uint32_t n, std::vector<double> qualities,
   cfg.qualities = std::move(qualities);
   cfg.seed = seed;
   return cfg;
+}
+
+// --- the literal four-phase round ------------------------------------------
+
+/// The environment's pairing-stream key derivation (environment.cpp's
+/// kPairingSeedTag): the counter-lottery model keys its draws on it.
+constexpr std::uint64_t kPairingSeedTag = 0x9A1217;
+
+/// Paper Section 2's round written literally as four ant-order phases
+/// over an Action vector: locations and search landings, the pairing,
+/// the counts, the return values. It shares nothing with the environment
+/// but the pairing and observation models, so the tests below pin every
+/// round entry point to it (as test_pairing.cpp pins the pairing to
+/// literal Algorithm 1). It does not validate: legal action vectors only.
+class LiteralWorld {
+ public:
+  LiteralWorld(EnvironmentConfig cfg, PairingKind pairing,
+               const NoiseConfig& noise = {})
+      : cfg_(std::move(cfg)),
+        pairing_(make_pairing_model(pairing)),
+        observation_(make_observation_model(noise)),
+        rng_(cfg_.seed),
+        pairing_seed_(util::mix_seed(cfg_.seed, kPairingSeedTag)),
+        location_(cfg_.num_ants, kHomeNest),
+        count_(num_nests() + 1, 0),
+        knowledge_(static_cast<std::size_t>(cfg_.num_ants) * (num_nests() + 1),
+                   0),
+        recruited_by_(cfg_.num_ants, kNotRecruited),
+        recruit_succeeded_(cfg_.num_ants, false),
+        outcomes_(cfg_.num_ants) {
+    count_[kHomeNest] = cfg_.num_ants;
+  }
+
+  const std::vector<Outcome>& step(const std::vector<Action>& actions) {
+    const AntId n = cfg_.num_ants;
+    const std::uint32_t k = num_nests();
+    // Phase 1: every location update, the search landings and the
+    // requests, in ant order.
+    stats_ = RoundStats{};
+    std::vector<RecruitRequest> requests;
+    std::vector<std::size_t> request_of(n, 0);
+    for (AntId a = 0; a < n; ++a) {
+      const Action& action = actions[a];
+      switch (action.kind) {
+        case ActionKind::kSearch: {
+          const auto found = static_cast<NestId>(1 + rng_.uniform_u64(k));
+          location_[a] = found;
+          knowledge_[a * (k + 1) + found] = 1;
+          outcomes_[a] = Outcome{ActionKind::kSearch, found, 0.0, 0, false,
+                                 false};
+          ++stats_.searches;
+          break;
+        }
+        case ActionKind::kGo:
+          location_[a] = action.target;
+          outcomes_[a] = Outcome{ActionKind::kGo, action.target, 0.0, 0, false,
+                                 false};
+          ++stats_.gos;
+          break;
+        case ActionKind::kRecruit:
+          location_[a] = kHomeNest;
+          request_of[a] = requests.size();
+          requests.push_back(RecruitRequest{a, action.active, action.target});
+          outcomes_[a] = Outcome{ActionKind::kRecruit, action.target, 0.0, 0,
+                                 false, false};
+          ++(action.active ? stats_.active_recruits : stats_.passive_recruits);
+          break;
+        case ActionKind::kIdle:
+          outcomes_[a] = Outcome{ActionKind::kIdle, location_[a], 0.0, 0,
+                                 false, false};
+          ++stats_.idles;
+          break;
+      }
+    }
+    // Phase 2: the pairing process.
+    rng_words_.push_back(util::Rng(rng_)());
+    PairingScratch matching;
+    pairing_->pair_into(requests, PairingCtx{rng_, pairing_seed_, round_ + 1},
+                        matching);
+    // Phase 3: the end-of-round counts c(i, r).
+    std::fill(count_.begin(), count_.end(), 0u);
+    for (AntId a = 0; a < n; ++a) ++count_[location_[a]];
+    // Phase 4: the return values (perception draws in ant order) and the
+    // tandem-run knowledge.
+    successful_recruiters_.clear();
+    for (AntId a = 0; a < n; ++a) {
+      Outcome& out = outcomes_[a];
+      recruited_by_[a] = kNotRecruited;
+      recruit_succeeded_[a] = false;
+      switch (out.kind) {
+        case ActionKind::kSearch:
+          out.quality = observation_->perceive_quality(quality(out.nest), rng_);
+          out.count = observation_->perceive_count(count_[out.nest], rng_);
+          break;
+        case ActionKind::kGo:
+          out.count = observation_->perceive_count(count_[out.nest], rng_);
+          out.quality = observation_->perceive_quality(quality(out.nest), rng_);
+          break;
+        case ActionKind::kRecruit: {
+          const std::size_t x = request_of[a];
+          const std::int32_t by = matching.recruited_by[x];
+          if (by != kNotRecruited) {
+            const RecruitRequest& from = requests[static_cast<std::size_t>(by)];
+            out.nest = from.target;
+            out.recruited = true;
+            recruited_by_[a] = static_cast<std::int32_t>(from.ant);
+            successful_recruiters_.push_back(from.ant);
+            ++stats_.successful_recruitments;
+            if (from.ant == a) ++stats_.self_recruitments;
+            if (from.target != requests[x].target) {
+              ++stats_.cross_nest_recruitments;
+            }
+            if (from.target != kHomeNest) {
+              knowledge_[a * (k + 1) + from.target] = 1;
+            }
+          }
+          out.recruit_succeeded = matching.recruit_succeeded[x] != 0;
+          recruit_succeeded_[a] = out.recruit_succeeded;
+          out.count = observation_->perceive_count(count_[kHomeNest], rng_);
+          break;
+        }
+        case ActionKind::kIdle:
+          break;
+      }
+    }
+    ++round_;
+    return outcomes_;
+  }
+
+  [[nodiscard]] std::uint32_t num_nests() const {
+    return static_cast<std::uint32_t>(cfg_.qualities.size());
+  }
+  [[nodiscard]] std::uint32_t round() const { return round_; }
+  [[nodiscard]] NestId location(AntId a) const { return location_[a]; }
+  [[nodiscard]] std::uint32_t count(NestId i) const { return count_[i]; }
+  [[nodiscard]] bool knows(AntId a, NestId i) const {
+    return knowledge_[a * (num_nests() + 1) + i] != 0;
+  }
+  [[nodiscard]] const RoundStats& last_round_stats() const { return stats_; }
+  [[nodiscard]] std::int32_t recruited_by_ant(AntId a) const {
+    return recruited_by_[a];
+  }
+  [[nodiscard]] bool recruit_succeeded_ant(AntId a) const {
+    return recruit_succeeded_[a];
+  }
+  [[nodiscard]] const std::vector<AntId>& successful_recruiters() const {
+    return successful_recruiters_;
+  }
+  /// The shared stream's next word at each round's pairing call.
+  [[nodiscard]] const std::vector<std::uint64_t>& rng_words() const {
+    return rng_words_;
+  }
+
+ private:
+  [[nodiscard]] double quality(NestId i) const { return cfg_.qualities[i - 1]; }
+
+  EnvironmentConfig cfg_;
+  std::unique_ptr<PairingModel> pairing_;
+  std::unique_ptr<ObservationModel> observation_;
+  util::Rng rng_;
+  std::uint64_t pairing_seed_;
+  std::uint32_t round_ = 0;
+  std::vector<NestId> location_;
+  std::vector<std::uint32_t> count_;
+  std::vector<std::uint8_t> knowledge_;
+  std::vector<std::int32_t> recruited_by_;
+  std::vector<bool> recruit_succeeded_;
+  std::vector<AntId> successful_recruiters_;
+  std::vector<Outcome> outcomes_;
+  RoundStats stats_;
+  std::vector<std::uint64_t> rng_words_;
+};
+
+/// A pairing model that records the shared stream's next word at every
+/// call before delegating — the environment's stream position, which no
+/// accessor exposes. Compared against LiteralWorld::rng_words(), it shows
+/// that both made the same number of draws up to each pairing, and a
+/// final search-free round extends that to the last round's end.
+class ProbedPairing final : public PairingModel {
+ public:
+  ProbedPairing(PairingKind kind, std::vector<std::uint64_t>& words)
+      : model_(make_pairing_model(kind)), words_(words) {}
+  using PairingModel::pair_active;
+  void pair_active(std::span<const std::uint8_t> active, const PairingCtx& ctx,
+                   PairingScratch& scratch) const override {
+    words_.push_back(util::Rng(ctx.rng)());
+    model_->pair_active(active, ctx, scratch);
+  }
+  [[nodiscard]] std::string_view name() const override {
+    return model_->name();
+  }
+
+ private:
+  std::unique_ptr<PairingModel> model_;
+  std::vector<std::uint64_t>& words_;
+};
+
+bool same_stats(const RoundStats& a, const RoundStats& b) {
+  return a.searches == b.searches && a.gos == b.gos &&
+         a.active_recruits == b.active_recruits &&
+         a.passive_recruits == b.passive_recruits && a.idles == b.idles &&
+         a.successful_recruitments == b.successful_recruitments &&
+         a.self_recruitments == b.self_recruitments &&
+         a.cross_nest_recruitments == b.cross_nest_recruitments;
+}
+
+/// Everything the round left behind that a caller of `world` can see.
+void expect_same_world(const LiteralWorld& want, const Environment& world,
+                       const std::string& label) {
+  const AntId n = world.num_ants();
+  EXPECT_EQ(want.round(), world.round()) << label;
+  for (NestId i = 0; i <= world.num_nests(); ++i) {
+    EXPECT_EQ(want.count(i), world.count(i)) << label << ", nest " << i;
+  }
+  EXPECT_TRUE(same_stats(want.last_round_stats(), world.last_round_stats()))
+      << label;
+  EXPECT_EQ(want.successful_recruiters(),
+            std::vector<AntId>(world.successful_recruiters().begin(),
+                               world.successful_recruiters().end()))
+      << label;
+  for (AntId a = 0; a < n; ++a) {
+    ASSERT_EQ(want.location(a), world.location(a)) << label << ", ant " << a;
+    ASSERT_EQ(want.recruited_by_ant(a), world.recruited_by_ant(a))
+        << label << ", ant " << a;
+    ASSERT_EQ(want.recruit_succeeded_ant(a), world.recruit_succeeded_ant(a))
+        << label << ", ant " << a;
+    for (NestId i = 0; i <= world.num_nests(); ++i) {
+      ASSERT_EQ(want.knows(a, i), world.knows(a, i))
+          << label << ", ant " << a << ", nest " << i;
+    }
+  }
+}
+
+void expect_same_outcomes(const std::vector<Outcome>& want,
+                          const std::vector<Outcome>& got,
+                          const std::string& label) {
+  ASSERT_EQ(want.size(), got.size()) << label;
+  for (std::size_t a = 0; a < want.size(); ++a) {
+    ASSERT_EQ(want[a].kind, got[a].kind) << label << ", ant " << a;
+    ASSERT_EQ(want[a].nest, got[a].nest) << label << ", ant " << a;
+    ASSERT_EQ(want[a].quality, got[a].quality) << label << ", ant " << a;
+    ASSERT_EQ(want[a].count, got[a].count) << label << ", ant " << a;
+    ASSERT_EQ(want[a].recruited, got[a].recruited) << label << ", ant " << a;
+    ASSERT_EQ(want[a].recruit_succeeded, got[a].recruit_succeeded)
+        << label << ", ant " << a;
+  }
 }
 
 TEST(Environment, InitialStateAllAntsHome) {
@@ -294,13 +546,13 @@ TEST(Environment, DeterministicGivenSeed) {
 }
 
 // The SoA round-shape entry points (step_all_search/recruit/go and the
-// quiet forms) must be RNG- and state-equivalent to step() with the
-// corresponding uniform action vector — the packed engine's correctness
-// rests on this.
-TEST(Environment, RoundShapeFastPathsMatchGenericStep) {
+// quiet forms) must be RNG- and state-equivalent to the literal round
+// with the corresponding uniform action vector — the packed engine's
+// correctness rests on this.
+TEST(Environment, RoundShapeFastPathsMatchTheLiteralRound) {
   constexpr std::uint32_t n = 64;
   const std::vector<double> qualities = {1.0, 1.0, 0.0, 0.0};
-  Environment generic(config(n, qualities, 77));
+  LiteralWorld generic(config(n, qualities, 77), PairingKind::kPermutation);
   Environment fast(config(n, qualities, 77));
   Environment quiet(config(n, qualities, 77));
 
@@ -394,15 +646,15 @@ TEST(Environment, RoundShapeFastPathsMatchGenericStep) {
 }
 
 // The masked SoA entry points (step_masked_recruit/go and the quiet
-// forms) must be RNG- and state-equivalent to step() with the
+// forms) must be RNG- and state-equivalent to the literal round with the
 // corresponding MIXED action vector — the per-ant-phase packs (optimal)
 // and the pack-level fault lanes rest on this.
-TEST(Environment, MaskedEntryPointsMatchGenericStep) {
+TEST(Environment, MaskedEntryPointsMatchTheLiteralRound) {
   constexpr std::uint32_t n = 64;
   const std::vector<double> qualities = {1.0, 1.0, 0.0, 0.0};
   auto cfg = config(n, qualities, 91);
   cfg.allow_idle = true;  // masked rounds carry crashed (idle) ants
-  Environment generic(cfg);
+  LiteralWorld generic(cfg, PairingKind::kPermutation);
   Environment masked(cfg);
   Environment quiet(cfg);
 
@@ -522,6 +774,159 @@ TEST(Environment, MaskedEntryPointsMatchGenericStep) {
   EXPECT_EQ(generic.round(), 2u);
   EXPECT_EQ(masked.round(), 2u);
   EXPECT_EQ(quiet.round(), 2u);
+}
+
+// Every generic and masked round entry point against the literal round,
+// round by round: the three pairing models x exact/noisy observation x
+// op mixes drawn from search, go, recruit and idle, at 64 ants (one
+// chunk) and at 2 * kMinRoundChunk + 37 ants on 4 round workers (the
+// round body's chunked passes). Compared: Outcomes (loud forms),
+// locations, counts, knowledge, stats, the ant-indexed matching,
+// recruit_results(), successful_recruiters() and the shared stream's
+// position at every pairing call. The last round is search-free, so its
+// pairing probe sees the stream where the round before it ended.
+TEST(Environment, EveryRoundEntryPointMatchesTheLiteralRound) {
+  struct PinnedWorkers {
+    PinnedWorkers() { util::set_round_workers(4); }
+    ~PinnedWorkers() { util::set_round_workers(0); }
+  } const pinned;
+  struct Mix {
+    const char* name;
+    int search, go, recruit, idle;  // weights
+    bool passive_only = false;
+  };
+  const Mix mixes[] = {
+      {"search+idle", 6, 0, 0, 1},   {"full", 1, 3, 4, 1},
+      {"go", 0, 1, 0, 0},            {"recruit", 0, 0, 1, 0},
+      {"go+idle", 0, 3, 0, 1},       {"go+recruit", 0, 1, 1, 0},
+      {"search+recruit", 1, 0, 3, 0}, {"full", 1, 3, 4, 1},
+      {"passive recruit", 0, 0, 1, 0, true},
+  };
+  // Ant a's call under `mix`, legal in `world`'s current state.
+  const auto draw_action = [](const LiteralWorld& world, AntId a,
+                              const Mix& mix, util::Rng& rng) {
+    std::vector<NestId> known;
+    for (NestId i = 1; i <= world.num_nests(); ++i) {
+      if (world.knows(a, i)) known.push_back(i);
+    }
+    const NestId some =
+        known.empty() ? kHomeNest : known[rng.uniform_u64(known.size())];
+    auto pick = static_cast<int>(
+        rng.uniform_u64(mix.search + mix.go + mix.recruit + mix.idle));
+    if ((pick -= mix.search) < 0) return Action::search();
+    if ((pick -= mix.go) < 0) {
+      return some == kHomeNest ? Action::search() : Action::go(some);
+    }
+    if ((pick -= mix.recruit) < 0) {
+      const bool b =
+          !mix.passive_only && some != kHomeNest && rng.uniform_u64(2) == 0;
+      return Action::recruit(b, some);
+    }
+    return Action::idle();
+  };
+
+  enum class Entry { kStep, kMaskedRecruit, kMasked, kQuietRecruit, kQuiet };
+  struct Driven {
+    Entry entry;
+    std::string name;
+    std::vector<std::uint64_t> words;
+    std::unique_ptr<Environment> world;
+  };
+  const NoiseConfig noisy{0.3, 0.2, 0.1};
+  for (const std::uint32_t n :
+       {64u, static_cast<std::uint32_t>(2 * util::kMinRoundChunk + 37)}) {
+    for (const PairingKind kind :
+         {PairingKind::kPermutation, PairingKind::kUniformProposal,
+          PairingKind::kCounter}) {
+      for (const bool noise : {false, true}) {
+        auto cfg = config(n, {1.0, 0.0, 1.0, 0.5, 0.0}, 1234 + n);
+        cfg.allow_idle = true;
+        const NoiseConfig observation = noise ? noisy : NoiseConfig{};
+        LiteralWorld literal(cfg, kind, observation);
+        std::vector<std::unique_ptr<Driven>> driven;
+        for (const auto& [entry, name] :
+             {std::pair{Entry::kStep, "step"},
+              std::pair{Entry::kMaskedRecruit, "step_masked_recruit"},
+              std::pair{Entry::kMasked, "step_masked_go/recruit"},
+              std::pair{Entry::kQuietRecruit, "step_masked_recruit_quiet"},
+              std::pair{Entry::kQuiet, "step_masked_go/recruit_quiet"}}) {
+          const bool quiet =
+              entry == Entry::kQuietRecruit || entry == Entry::kQuiet;
+          if (quiet && noise) continue;  // the quiet forms are exact-only
+          auto d = std::make_unique<Driven>();
+          d->entry = entry;
+          d->name = name;
+          d->world = std::make_unique<Environment>(
+              cfg, std::make_unique<ProbedPairing>(kind, d->words),
+              make_observation_model(observation));
+          driven.push_back(std::move(d));
+        }
+
+        util::Rng mix_rng(n + static_cast<std::uint64_t>(kind));
+        std::uint32_t recruitments = 0;
+        std::vector<Action> actions(n);
+        std::vector<MaskedOp> op(n);
+        std::vector<std::uint8_t> active(n);
+        std::vector<NestId> targets(n);
+        for (const Mix& mix : mixes) {
+          bool recruit_free = true;
+          for (AntId a = 0; a < n; ++a) {
+            actions[a] = draw_action(literal, a, mix, mix_rng);
+            const Action& act = actions[a];
+            op[a] = act.kind == ActionKind::kSearch  ? MaskedOp::kSearch
+                    : act.kind == ActionKind::kGo    ? MaskedOp::kGo
+                    : act.kind == ActionKind::kIdle  ? MaskedOp::kIdle
+                                                     : MaskedOp::kRecruit;
+            active[a] = act.active ? 1 : 0;
+            targets[a] = act.target;
+            recruit_free = recruit_free && act.kind != ActionKind::kRecruit;
+          }
+          const std::vector<Outcome> want = literal.step(actions);
+          recruitments += literal.last_round_stats().successful_recruitments;
+          for (const auto& d : driven) {
+            const std::string label =
+                d->name + ", n " + std::to_string(n) + ", " +
+                std::string(pairing_name(kind)) +
+                (noise ? ", noisy" : ", exact") + ", round " +
+                std::to_string(literal.round()) + " (" + mix.name + ")";
+            Environment& world = *d->world;
+            const bool go_form = d->entry == Entry::kMasked ||
+                                 d->entry == Entry::kQuiet;
+            switch (d->entry) {
+              case Entry::kStep:
+                expect_same_outcomes(want, world.step(actions), label);
+                break;
+              case Entry::kMaskedRecruit:
+              case Entry::kMasked:
+                expect_same_outcomes(
+                    want,
+                    go_form && recruit_free
+                        ? world.step_masked_go(op, targets)
+                        : world.step_masked_recruit(op, active, targets),
+                    label);
+                break;
+              case Entry::kQuietRecruit:
+              case Entry::kQuiet:
+                if (go_form && recruit_free) {
+                  world.step_masked_go_quiet(op, targets);
+                } else {
+                  world.step_masked_recruit_quiet(op, active, targets);
+                }
+                break;
+            }
+            expect_same_world(literal, world, label);
+            EXPECT_EQ(literal.rng_words(), d->words) << label;
+            for (AntId a = 0; a < n; ++a) {
+              if (op[a] != MaskedOp::kRecruit) continue;
+              ASSERT_EQ(want[a].nest, world.recruit_results()[a])
+                  << label << ", ant " << a;
+            }
+          }
+        }
+        EXPECT_GT(recruitments, 0u);
+      }
+    }
+  }
 }
 
 TEST(Environment, SelfRecruitmentCountsInStats) {

@@ -60,6 +60,46 @@ TEST(HotPath, EnvironmentStepNeverAllocates) {
               0u)
         << "recruit rounds, pairing " << static_cast<int>(kind);
   }
+
+  // At 4 * kMinRoundChunk ants on 4 round workers step() and the masked
+  // rounds run their body as chunks on the pool: after the round that
+  // starts the pool's threads, neither the caller nor the workers may
+  // allocate (the counting operator new sees every thread). Noisy
+  // observation keeps the masked round loud.
+  util::set_round_workers(4);
+  constexpr std::uint32_t n = 4 * util::kMinRoundChunk;
+  ASSERT_EQ(util::round_chunks(n), 4u);
+  for (const env::PairingKind kind :
+       {env::PairingKind::kPermutation, env::PairingKind::kCounter}) {
+    env::Environment environment(
+        env_config(n, kind), env::make_pairing_model(kind),
+        env::make_observation_model(env::NoiseConfig{0.2, 0.1, 0.0}));
+    std::vector<env::Action> search(n, env::Action::search());
+    environment.step(search);
+    std::vector<env::Action> mixed(n);
+    std::vector<env::MaskedOp> op(n);
+    std::vector<std::uint8_t> active(n);
+    std::vector<env::NestId> targets(n);
+    for (env::AntId a = 0; a < n; ++a) {
+      targets[a] = environment.location(a);
+      active[a] = a % 2 == 0 ? 1 : 0;
+      const bool go = a % 3 == 0;
+      op[a] = go ? env::MaskedOp::kGo : env::MaskedOp::kRecruit;
+      mixed[a] = go ? env::Action::go(targets[a])
+                    : env::Action::recruit(active[a] != 0, targets[a]);
+    }
+    environment.step(mixed);  // the first multi-chunk round grows the pool
+    EXPECT_EQ(allocations_during([&] {
+                for (int round = 0; round < 20; ++round) {
+                  environment.step(mixed);
+                  environment.step_masked_recruit(op, active, targets);
+                }
+              }),
+              0u)
+        << "step / noisy step_masked_recruit at 4 round workers, pairing "
+        << env::pairing_name(kind);
+  }
+  util::set_round_workers(0);
 }
 
 TEST(HotPath, PackedSimulationRoundNeverAllocates) {

@@ -68,21 +68,18 @@ TEST(Registry, UnknownNameThrowsListingKnownOnes) {
 
 TEST(Registry, CustomRegistrationIsVisibleAndReplaceable) {
   auto& registry = AlgorithmRegistry::instance();
-  registry.add("test-custom",
-               [](const SimulationConfig& config, const AlgorithmParams& p) {
-                 return std::make_unique<Simulation>(
-                     config, AlgorithmKind::kSimple, p);
-               });
+  AlgorithmSpec custom;
+  custom.name = "test-custom";
+  custom.colony = builtin_algorithm_spec(AlgorithmKind::kSimple).colony;
+  registry.add(custom);
   EXPECT_TRUE(registry.contains("test-custom"));
   const auto cfg = test::small_config(64, 2, 1, 3);
   auto sim = registry.make("test-custom", cfg);
+  EXPECT_FALSE(sim->packed());  // no pack declared: the colony factory runs
   EXPECT_TRUE(sim->run().converged);
   // Replacement under the same name is allowed (last one wins).
-  registry.add("test-custom",
-               [](const SimulationConfig& config, const AlgorithmParams& p) {
-                 return std::make_unique<Simulation>(
-                     config, AlgorithmKind::kOptimal, p);
-               });
+  custom.colony = builtin_algorithm_spec(AlgorithmKind::kOptimal).colony;
+  registry.add(custom);
   EXPECT_EQ(registry.make("test-custom", cfg)->colony().algorithm, "optimal");
 }
 
@@ -200,9 +197,7 @@ TEST(RegistryV2, IdleSearchVariantIsRegisteredPurelyThroughTheSpecApi) {
 TEST(RegistryV2, AddValidatesSpecs) {
   auto& registry = AlgorithmRegistry::instance();
   AlgorithmSpec nameless;
-  nameless.simulation = [](const SimulationConfig& c, const AlgorithmParams& p) {
-    return std::make_unique<Simulation>(c, AlgorithmKind::kSimple, p);
-  };
+  nameless.colony = builtin_algorithm_spec(AlgorithmKind::kSimple).colony;
   EXPECT_THROW(registry.add(std::move(nameless)), std::invalid_argument);
 
   AlgorithmSpec empty;

@@ -15,10 +15,12 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/simulation.hpp"
 #include "env/environment.hpp"
+#include "env/observation.hpp"
 #include "env/pairing.hpp"
 #include "util/rng.hpp"
 
@@ -202,6 +204,39 @@ TEST(RoundPool, FaultedSimulationBitIdenticalAtOneTwoAndEightWorkers) {
   }
 }
 
+TEST(RoundPool, ScalarEngineBitIdenticalAtOneTwoAndEightWorkers) {
+  // The scalar engine's step() runs the chunked round body too (loud
+  // masked rounds under noise, search-laden rounds under Byzantine
+  // scouts), so its runs must not depend on the worker count either.
+  std::vector<std::pair<core::SimulationConfig, core::AlgorithmKind>> runs;
+  runs.emplace_back(colony_config(3), core::AlgorithmKind::kOptimal);
+  core::SimulationConfig permutation = colony_config(3);
+  permutation.pairing = env::PairingKind::kPermutation;
+  runs.emplace_back(permutation, core::AlgorithmKind::kQuorum);
+  core::SimulationConfig noisy = colony_config(7);
+  noisy.pairing = env::PairingKind::kUniformProposal;
+  noisy.noise.count_sigma = 0.1;
+  runs.emplace_back(noisy, core::AlgorithmKind::kSimple);
+  core::SimulationConfig faulted = colony_config(5);
+  faulted.faults.byzantine_fraction = 0.01;
+  faulted.faults.crash_fraction = 0.02;
+  faulted.convergence_tolerance = 0.1;
+  runs.emplace_back(faulted, core::AlgorithmKind::kOptimal);
+  for (const auto& [cfg, kind] : runs) {
+    const std::string label = std::string(core::algorithm_name(kind)) + ", " +
+                              std::string(env::pairing_name(cfg.pairing)) +
+                              ", seed " + std::to_string(cfg.seed);
+    const core::RunResult want =
+        run_at(1, cfg, kind, core::EngineKind::kScalar);
+    EXPECT_GT(want.rounds_executed, 1u) << label;
+    for (const std::size_t workers : {2u, 8u}) {
+      expect_same_run(want, run_at(workers, cfg, kind, core::EngineKind::kScalar),
+                      label + ", scalar at " + std::to_string(workers) +
+                          " workers vs 1");
+    }
+  }
+}
+
 // --- one environment round, lane by lane -----------------------------------
 
 /// Everything a round leaves behind that a caller can see.
@@ -214,7 +249,22 @@ struct RoundRecord {
   std::vector<env::AntId> successful_recruiters;
   std::vector<env::NestId> recruit_results;  ///< recruit-op ants only
   std::vector<std::uint8_t> knowledge;       ///< knows(a, i), flattened
+  std::vector<env::Outcome> outcomes;        ///< loud rounds only
 };
+
+bool same_outcomes(const std::vector<env::Outcome>& a,
+                   const std::vector<env::Outcome>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].kind != b[i].kind || a[i].nest != b[i].nest ||
+        a[i].quality != b[i].quality || a[i].count != b[i].count ||
+        a[i].recruited != b[i].recruited ||
+        a[i].recruit_succeeded != b[i].recruit_succeeded) {
+      return false;
+    }
+  }
+  return true;
+}
 
 /// Record `world` after a round whose per-ant calls were `op`.
 RoundRecord record_round(const env::HomeNestBackend& world,
@@ -247,13 +297,19 @@ env::EnvironmentConfig world_config(std::uint64_t seed) {
   return ec;
 }
 
-/// Drive a standalone home-nest world through a search round and then
-/// masked-recruit rounds of a fixed random op mix (one of them with a
-/// few searchers), recording every round.
-std::vector<RoundRecord> drive_backend(std::size_t workers) {
+/// Drive a standalone home-nest world under `pairing` through a search
+/// round and then rounds of a fixed random op mix (one of them with a few
+/// searchers, the last one without recruiters), recording every round.
+/// Quiet: exact observation and the quiet masked forms. Loud: noisy
+/// observation, and the rounds alternate between step() and the loud
+/// masked forms, Outcomes recorded.
+std::vector<RoundRecord> drive_backend(std::size_t workers,
+                                       env::PairingKind pairing, bool loud) {
   const PinnedWorkers pinned(workers);
   env::HomeNestBackend world(
-      world_config(41), env::make_pairing_model(env::PairingKind::kCounter));
+      world_config(41), env::make_pairing_model(pairing),
+      env::make_observation_model(loud ? env::NoiseConfig{0.2, 0.1, 0.05}
+                                       : env::NoiseConfig{}));
   (void)world.step_all_search();
   std::vector<env::NestId> home_nest(kAnts);
   for (env::AntId a = 0; a < kAnts; ++a) home_nest[a] = world.location(a);
@@ -262,19 +318,42 @@ std::vector<RoundRecord> drive_backend(std::size_t workers) {
   std::vector<env::MaskedOp> op(kAnts);
   std::vector<std::uint8_t> active(kAnts);
   std::vector<env::NestId> targets(kAnts);
+  std::vector<env::Action> actions(kAnts);
   std::vector<RoundRecord> records;
   for (int round = 0; round < 6; ++round) {
+    const bool go_round = round == 5;
     for (env::AntId a = 0; a < kAnts; ++a) {
       const std::uint64_t r = mix.uniform_u64(100);
-      op[a] = r < 48   ? env::MaskedOp::kRecruit
-              : r < 95 ? env::MaskedOp::kGo
-                       : env::MaskedOp::kIdle;
+      op[a] = r < 48 && !go_round ? env::MaskedOp::kRecruit
+              : r < 95            ? env::MaskedOp::kGo
+                                  : env::MaskedOp::kIdle;
       if (round == 3 && r >= 99) op[a] = env::MaskedOp::kSearch;
       active[a] = mix.uniform_u64(2) != 0 ? 1 : 0;
       targets[a] = home_nest[a];
+      switch (op[a]) {
+        case env::MaskedOp::kRecruit:
+          actions[a] = env::Action::recruit(active[a] != 0, targets[a]);
+          break;
+        case env::MaskedOp::kGo: actions[a] = env::Action::go(targets[a]); break;
+        case env::MaskedOp::kSearch: actions[a] = env::Action::search(); break;
+        case env::MaskedOp::kIdle: actions[a] = env::Action::idle(); break;
+      }
     }
-    world.step_masked_recruit_quiet(op, active, targets);
+    const std::vector<env::Outcome>* outcomes = nullptr;
+    if (!loud) {
+      if (go_round) {
+        world.step_masked_go_quiet(op, targets);
+      } else {
+        world.step_masked_recruit_quiet(op, active, targets);
+      }
+    } else if (round % 2 == 0) {
+      outcomes = &world.step(actions);
+    } else {
+      outcomes = go_round ? &world.step_masked_go(op, targets)
+                          : &world.step_masked_recruit(op, active, targets);
+    }
     records.push_back(record_round(world, op));
+    if (outcomes != nullptr) records.back().outcomes = *outcomes;
   }
   return records;
 }
@@ -329,14 +408,28 @@ void expect_same_records(const std::vector<RoundRecord>& want,
         << label;
     EXPECT_EQ(want[r].recruit_results, got[r].recruit_results) << label;
     EXPECT_EQ(want[r].knowledge, got[r].knowledge) << label;
+    EXPECT_TRUE(same_outcomes(want[r].outcomes, got[r].outcomes)) << label;
   }
 }
 
 TEST(RoundPool, BackendRoundBitIdenticalAtOneTwoAndEightWorkers) {
-  const std::vector<RoundRecord> want = drive_backend(1);
-  EXPECT_GT(want[3].stats.searches, 0u);  // the single-chunk fallback ran
-  for (const std::size_t workers : {2u, 8u}) {
-    expect_same_records(want, drive_backend(workers), workers);
+  for (const env::PairingKind pairing :
+       {env::PairingKind::kPermutation, env::PairingKind::kUniformProposal,
+        env::PairingKind::kCounter}) {
+    for (const bool loud : {false, true}) {
+      SCOPED_TRACE(std::string(env::pairing_name(pairing)) +
+                   (loud ? ", loud" : ", quiet"));
+      const std::vector<RoundRecord> want = drive_backend(1, pairing, loud);
+      EXPECT_GT(want[3].stats.searches, 0u);  // the single-chunk fallback ran
+      EXPECT_GT(want[4].stats.successful_recruitments, 0u);
+      EXPECT_EQ(want[5].stats.active_recruits + want[5].stats.passive_recruits,
+                0u);
+      EXPECT_EQ(want[0].outcomes.size(), loud ? kAnts : 0u);
+      for (const std::size_t workers : {2u, 8u}) {
+        expect_same_records(want, drive_backend(workers, pairing, loud),
+                            workers);
+      }
+    }
   }
 }
 
@@ -378,28 +471,44 @@ TEST(RoundPool, PairActiveBitIdenticalAtOneTwoAndEightWorkers) {
 TEST(RoundPool, ModelViolationInAHelperChunkSurfacesOnTheCaller) {
   // Two illegal go() calls in the last quarter of the colony (a helper
   // chunk at 8 workers): every worker count reports the first one, as
-  // the serial loop would.
-  for (const std::size_t workers : kWorkerCounts) {
-    const PinnedWorkers pinned(workers);
-    env::EnvironmentConfig ec;
-    ec.num_ants = kAnts;
-    ec.qualities = {1.0, 1.0};
-    ec.seed = 3;
-    env::HomeNestBackend world(ec,
-                               env::make_pairing_model(env::PairingKind::kCounter));
-    std::vector<env::MaskedOp> op(kAnts, env::MaskedOp::kRecruit);
-    std::vector<std::uint8_t> active(kAnts, 0);
-    std::vector<env::NestId> targets(kAnts, env::kHomeNest);
-    op[17001] = env::MaskedOp::kGo;  // go(1) with no knowledge of nest 1
-    targets[17001] = 1;
-    op[19999] = env::MaskedOp::kGo;
-    targets[19999] = 2;
-    try {
-      world.step_masked_recruit_quiet(op, active, targets);
-      FAIL() << workers << " workers: no exception";
-    } catch (const ModelViolation& e) {
-      EXPECT_NE(std::string(e.what()).find("ant 17001"), std::string::npos)
-          << workers << " workers: " << e.what();
+  // the serial loop would — under a keyed and a sequential pairing
+  // model, through the quiet masked round and through step().
+  std::vector<env::MaskedOp> op(kAnts, env::MaskedOp::kRecruit);
+  std::vector<std::uint8_t> active(kAnts, 0);
+  std::vector<env::NestId> targets(kAnts, env::kHomeNest);
+  op[17001] = env::MaskedOp::kGo;  // go(1) with no knowledge of nest 1
+  targets[17001] = 1;
+  op[19999] = env::MaskedOp::kGo;
+  targets[19999] = 2;
+  std::vector<env::Action> actions(kAnts, env::Action::recruit(false, 0));
+  actions[17001] = env::Action::go(1);
+  actions[19999] = env::Action::go(2);
+  for (const env::PairingKind pairing :
+       {env::PairingKind::kCounter, env::PairingKind::kPermutation}) {
+    for (const bool loud : {false, true}) {
+      for (const std::size_t workers : kWorkerCounts) {
+        const std::string label =
+            std::string(env::pairing_name(pairing)) +
+            (loud ? ", step()" : ", quiet masked") + ", " +
+            std::to_string(workers) + " workers";
+        const PinnedWorkers pinned(workers);
+        env::EnvironmentConfig ec;
+        ec.num_ants = kAnts;
+        ec.qualities = {1.0, 1.0};
+        ec.seed = 3;
+        env::HomeNestBackend world(ec, env::make_pairing_model(pairing));
+        try {
+          if (loud) {
+            (void)world.step(actions);
+          } else {
+            world.step_masked_recruit_quiet(op, active, targets);
+          }
+          FAIL() << label << ": no exception";
+        } catch (const ModelViolation& e) {
+          EXPECT_NE(std::string(e.what()).find("ant 17001"), std::string::npos)
+              << label << ": " << e.what();
+        }
+      }
     }
   }
 }
