@@ -73,10 +73,19 @@ BENCHMARK_CAPTURE(BM_Pairing, counter_lottery, hh::env::PairingKind::kCounter)
 // per-round cost the packed optimal engine pays from round 2 on, isolated
 // from the rest of the environment. allocs_per_round must be 0 for ALL
 // models — tools/bench_diff --require-zero-allocs gates these rows.
-void BM_PairingRound(benchmark::State& state, hh::env::PairingKind kind) {
+// Every other request is active, unless `density` is set: then each flag
+// is drawn active with that probability (the `_dense` row's 0.9 is the
+// request mix of an `optimal` round at n = 16384, perfbench's
+// optimal-masked workload).
+void BM_PairingRound(benchmark::State& state, hh::env::PairingKind kind,
+                     double density = 0.0) {
   const auto m = static_cast<std::size_t>(state.range(0));
   std::vector<std::uint8_t> active(m);
-  for (std::size_t i = 0; i < m; ++i) active[i] = i % 2 == 0 ? 1 : 0;
+  hh::util::Rng flags(7);
+  for (std::size_t i = 0; i < m; ++i) {
+    active[i] = density > 0.0 ? (flags.uniform_double() < density ? 1 : 0)
+                              : (i % 2 == 0 ? 1 : 0);
+  }
   const auto model = hh::env::make_pairing_model(kind);
   hh::util::Rng rng(1);
   hh::env::PairingScratch scratch;
@@ -111,6 +120,9 @@ BENCHMARK_CAPTURE(BM_PairingRound, counter_lottery,
                   hh::env::PairingKind::kCounter)
     ->Arg(1024)
     ->Arg(4096)
+    ->Arg(16384);
+BENCHMARK_CAPTURE(BM_PairingRound, counter_lottery_dense,
+                  hh::env::PairingKind::kCounter, 0.9)
     ->Arg(16384);
 
 void BM_RandomPermutationInto(benchmark::State& state) {

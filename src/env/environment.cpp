@@ -41,7 +41,8 @@ HomeNestBackend::HomeNestBackend(EnvironmentConfig cfg,
   target_lane_ = std::make_unique_for_overwrite<NestId[]>(cfg_.num_ants);
   // Every per-round buffer is sized for the worst case up front so that
   // step() never allocates (see the invariant in the header).
-  requests_.reserve(cfg_.num_ants);
+  requests_ = std::make_unique_for_overwrite<RequestRow[]>(cfg_.num_ants);
+  request_flags_ = std::make_unique_for_overwrite<std::uint8_t[]>(cfg_.num_ants);
   request_index_.assign(cfg_.num_ants, kNoRequest);
   pairing_scratch_.reserve(cfg_.num_ants);
   // Written before read every round; left uninitialized so construction
@@ -66,7 +67,6 @@ void HomeNestBackend::reset(std::uint64_t seed) {
   std::fill(count_.begin(), count_.end(), 0u);
   count_[kHomeNest] = cfg_.num_ants;
   std::fill(knowledge_.begin(), knowledge_.end(), std::uint8_t{0});
-  requests_.clear();
   std::fill(request_index_.begin(), request_index_.end(), kNoRequest);
   requests_ant_indexed_ = false;
   pairing_current_ = false;
@@ -255,8 +255,6 @@ void HomeNestBackend::masked_round(std::span<const MaskedOp> op,
     all_at_home_ = false;
   }
 
-  requests_.resize(n);  // lint: capacity-reserved
-  pairing_scratch_.active.resize(n);  // lint: capacity-reserved
   std::size_t chunks = util::round_chunks(n);
   if (chunks > 1) {
     // Plan the ranks: count each chunk's recruiters (and searchers).
@@ -304,16 +302,14 @@ void HomeNestBackend::masked_round(std::span<const MaskedOp> op,
   }
   HH_ASSERT(mreq == 0 || !active.empty());  // recruit ops need their b lane
   stats_.passive_recruits = mreq - stats_.active_recruits;
-  requests_.resize(mreq);  // lint: capacity-reserved
-  pairing_scratch_.active.resize(mreq);  // lint: capacity-reserved
 
-  // The pairing over the dense ranks (scratch.active holds the packed
-  // flags, the same buffer pair_into packs; the counter lottery chunks its
-  // own propose loop), then the matching bookkeeping over request chunks.
-  pairing_->pair_active(pairing_scratch_.active,
+  // The pairing over the dense ranks' packed flags (the counter lottery
+  // chunks its own phases), then the matching bookkeeping over request
+  // chunks.
+  pairing_->pair_active({request_flags_.get(), mreq},
                         PairingCtx{rng_, pairing_seed_, round_ + 1},
                         pairing_scratch_);
-  HH_ENSURES(pairing_scratch_.recruited_by.size() == requests_.size());
+  HH_ENSURES(pairing_scratch_.recruited_by.size() == mreq);
   const std::size_t match_chunks = util::round_chunks(mreq);
   util::run_chunks(match_chunks, [&](std::size_t c) {
     matching_chunk(c, util::chunk_begin(mreq, match_chunks, c),
@@ -422,11 +418,11 @@ void HomeNestBackend::pass1_chunk(std::size_t c, AntId begin, AntId end,
   std::uint32_t* const counts = chunk_counts(c);
   std::fill(counts, counts + k + 1, 0u);
   ChunkPart& part = chunk_[c];
-  RecruitRequest* const req_rows = requests_.data();
-  std::uint8_t* const flag_rows = pairing_scratch_.active.data();
+  RequestRow* const req_rows = requests_.get();
+  std::uint8_t* const flag_rows = request_flags_.get();
   const std::uint32_t rank_end = part.first_request + part.requests;
   const bool has_flags = !active.empty();  // false in the go rounds
-  RecruitRequest dummy_row;
+  RequestRow dummy_row;
   std::uint8_t dummy_flag = 0;
   std::uint32_t mreq = part.first_request;
   std::uint32_t n_go = 0;
@@ -447,7 +443,7 @@ void HomeNestBackend::pass1_chunk(std::size_t c, AntId begin, AntId end,
       ++counts[loc];
       request_index_[a] = r ? mreq : kNoRequest;
       const bool own = mreq < rank_end;
-      *(own ? req_rows + mreq : &dummy_row) = RecruitRequest{a, b != 0, tgt};
+      *(own ? req_rows + mreq : &dummy_row) = RequestRow{a, tgt};
       *(own ? flag_rows + mreq : &dummy_flag) = b;
       mreq += r ? 1u : 0u;
       n_go += r ? 0u : 1u;
@@ -490,13 +486,13 @@ void HomeNestBackend::matching_chunk(std::size_t c, std::size_t begin,
   std::uint32_t cross = 0;
   AntId* const staged = success_ants_.get() + begin;
   for (std::size_t x = begin; x < end; ++x) {
-    const RecruitRequest& req = requests_[x];
+    const RequestRow& req = requests_[x];
     const std::int32_t recruiter = pairing_scratch_.recruited_by[x];
     if (recruiter == kNotRecruited) {
       recruit_result_[req.ant] = req.target;
       continue;
     }
-    const RecruitRequest& from = requests_[static_cast<std::size_t>(recruiter)];
+    const RequestRow& from = requests_[static_cast<std::size_t>(recruiter)];
     recruit_result_[req.ant] = from.target;
     staged[successes++] = from.ant;
     if (from.ant == req.ant) ++self;

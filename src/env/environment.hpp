@@ -326,7 +326,16 @@ class HomeNestBackend final : public Backend {
   std::unique_ptr<MaskedOp[]> op_lane_;
   std::unique_ptr<std::uint8_t[]> active_lane_;
   std::unique_ptr<NestId[]> target_lane_;
-  std::vector<RecruitRequest> requests_;  // reused each round
+  // masked_round's request list in rank order: request x's caller and
+  // advertised nest, and its b flag in the dense byte lane the pairing
+  // reads. n slots each; pass 1 writes [0, m) before anything reads them,
+  // so they are left uninitialized and no round clears them.
+  struct RequestRow {
+    AntId ant;
+    NestId target;
+  };
+  std::unique_ptr<RequestRow[]> requests_;
+  std::unique_ptr<std::uint8_t[]> request_flags_;
   std::vector<std::uint32_t> request_index_;  // ant -> index into requests_
   // True when the last recruit-bearing round used the all-recruit entry
   // points, whose pairing scratch is indexed directly by ant (the

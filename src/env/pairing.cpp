@@ -11,6 +11,47 @@
 
 namespace hh::env {
 
+namespace {
+
+// The greedy acceptance of the two lottery models keeps its state in one
+// byte per request slot — the recruit_succeeded lane, zeroed first —
+// rather than in both output lanes: bit 0 = taken as a target, bit 1 =
+// matched as a recruiter. A byte lane is a quarter of the recruited_by
+// lane, so its random accesses stay in cache.
+constexpr std::uint8_t kTakenAsTarget = 1;
+constexpr std::uint8_t kMatchedAsRecruiter = 2;
+
+/// Offer the tentative edge w -> t to the greedy matching. In both
+/// lottery models each target is offered at most once and each proposer
+/// wins at most one target, so t cannot have been taken and w cannot have
+/// recruited before this edge: it is taken iff t has not already
+/// recruited and w has not already been recruited. A self-proposal
+/// (w == t) always passes. Branch-free: the acceptance order makes every
+/// decision data-dependent, so a branch on it would mispredict often.
+inline void offer_edge(std::uint8_t* state, std::size_t w, std::size_t t) {
+  const std::uint8_t take =
+      ((state[t] & kMatchedAsRecruiter) | (state[w] & kTakenAsTarget)) == 0
+          ? 1
+          : 0;
+  state[t] |= take;  // kTakenAsTarget
+  state[w] |= static_cast<std::uint8_t>(take << 1);  // kMatchedAsRecruiter
+}
+
+/// The recruited_by entry of target t, proposed to by w, once the
+/// acceptance has run.
+inline std::int32_t taken_by(const std::uint8_t* state, std::size_t t,
+                             std::int32_t w) {
+  return (state[t] & kTakenAsTarget) != 0 ? w : kNotRecruited;
+}
+
+/// Turn the state bytes of [first, last) into recruit_succeeded flags,
+/// in place.
+inline void state_to_succeeded(std::uint8_t* first, std::uint8_t* last) {
+  for (; first != last; ++first) *first = static_cast<std::uint8_t>(*first >> 1);
+}
+
+}  // namespace
+
 void PairingScratch::reserve(std::size_t max_requests) {
   recruited_by.reserve(max_requests);
   recruit_succeeded.reserve(max_requests);
@@ -130,8 +171,8 @@ void UniformProposalPairing::pair_active(std::span<const std::uint8_t> active,
                                          PairingScratch& scratch) const {
   util::Rng& rng = ctx.rng;
   const std::size_t m = active.size();
-  scratch.recruited_by.assign(m, kNotRecruited);
-  scratch.recruit_succeeded.assign(m, 0);
+  scratch.recruited_by.resize(m);  // lint: capacity-reserved
+  scratch.recruit_succeeded.assign(m, 0);  // the acceptance state, zeroed
   if (m == 0) return;
 
   // Phase 1: every active ant commits to a proposal target up front.
@@ -169,28 +210,18 @@ void UniformProposalPairing::pair_active(std::span<const std::uint8_t> active,
     --lottery_left;
   }
 
-  // Phase 3: accept tentative matches in random order; endpoints exclusive.
+  // Phase 3: accept tentative matches in random order; endpoints
+  // exclusive (offer_edge), then write both outputs from the state.
   util::random_permutation_into(scratch.perm, m, rng);
+  std::uint8_t* const state = scratch.recruit_succeeded.data();
   for (std::uint32_t t : scratch.perm) {
     if (scratch.winner[t] == kNotRecruited) continue;
-    const auto w = static_cast<std::size_t>(scratch.winner[t]);
-    const bool target_free = scratch.recruited_by[t] == kNotRecruited &&
-                             scratch.recruit_succeeded[t] == 0;
-    const bool recruiter_free = scratch.recruited_by[w] == kNotRecruited &&
-                                scratch.recruit_succeeded[w] == 0;
-    // Self-proposal: the single endpoint only needs to be free once.
-    if (w == t) {
-      if (target_free) {
-        scratch.recruit_succeeded[w] = 1;
-        scratch.recruited_by[t] = static_cast<std::int32_t>(w);
-      }
-      continue;
-    }
-    if (target_free && recruiter_free) {
-      scratch.recruit_succeeded[w] = 1;
-      scratch.recruited_by[t] = static_cast<std::int32_t>(w);
-    }
+    offer_edge(state, static_cast<std::size_t>(scratch.winner[t]), t);
   }
+  for (std::size_t t = 0; t < m; ++t) {
+    scratch.recruited_by[t] = taken_by(state, t, scratch.winner[t]);
+  }
+  state_to_succeeded(state, state + m);
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -341,36 +372,38 @@ void CounterLotteryPairing::pair_active(std::span<const std::uint8_t> active,
   // fixed order yields the same matching distribution as the uniform-
   // proposal model's random-permutation acceptance. The greedy matching
   // is the one serial step — each decision depends on every earlier one
-  // — and runs on the calling thread over lanes it clears itself, so its
-  // random accesses stay in its own cache; it streams the gathered
-  // targets chunk by chunk, i.e. in ascending t.
-  std::fill(scratch.recruited_by.begin(), scratch.recruited_by.end(),
-            kNotRecruited);
-  std::fill(scratch.recruit_succeeded.begin(), scratch.recruit_succeeded.end(),
-            std::uint8_t{0});
+  // — and runs on the calling thread over the one-byte state lane
+  // (offer_edge), which it clears itself, so its random accesses stay in
+  // its own cache; it streams the gathered targets chunk by chunk, i.e.
+  // in ascending t.
+  std::uint8_t* const state = scratch.recruit_succeeded.data();
+  std::fill(state, state + m, std::uint8_t{0});
   for (std::size_t d = 0; d < chunks; ++d) {
     const std::uint64_t* const list = scratch.ticket.data() + begin_of(d);
     for (std::size_t i = 0; i < hits[d]; ++i) {
-      const auto t = static_cast<std::size_t>(list[i] >> 32);
-      const auto w = static_cast<std::size_t>(list[i] & 0xffffffffULL);
-      const bool target_free = scratch.recruited_by[t] == kNotRecruited &&
-                               scratch.recruit_succeeded[t] == 0;
-      if (w == t) {
-        // Self-proposal: the single endpoint only needs to be free once.
-        if (target_free) {
-          scratch.recruit_succeeded[w] = 1;
-          scratch.recruited_by[t] = static_cast<std::int32_t>(w);
-        }
-        continue;
-      }
-      const bool recruiter_free = scratch.recruited_by[w] == kNotRecruited &&
-                                  scratch.recruit_succeeded[w] == 0;
-      if (target_free && recruiter_free) {
-        scratch.recruit_succeeded[w] = 1;
-        scratch.recruited_by[t] = static_cast<std::int32_t>(w);
-      }
+      offer_edge(state, static_cast<std::size_t>(list[i] & 0xffffffffULL),
+                 static_cast<std::size_t>(list[i] >> 32));
     }
   }
+
+  // Write-out, one chunk per target range: recruited_by from the chunk's
+  // own hit list, then its state bytes into recruit_succeeded in place.
+  // The caller writes neither output lane: chunk d writes its own range
+  // of both, the range the environment's bookkeeping chunk d (same m,
+  // same split, same worker) reads next.
+  util::run_chunks(chunks, [&](std::size_t d) {
+    const std::size_t begin = begin_of(d);
+    const std::size_t end = begin_of(d + 1);
+    std::int32_t* const by = scratch.recruited_by.data();
+    std::fill(by + begin, by + end, kNotRecruited);
+    const std::uint64_t* const list = scratch.ticket.data() + begin;
+    for (std::size_t i = 0; i < hits[d]; ++i) {
+      const auto t = static_cast<std::size_t>(list[i] >> 32);
+      by[t] = taken_by(state, t,
+                       static_cast<std::int32_t>(list[i] & 0xffffffffULL));
+    }
+    state_to_succeeded(state + begin, state + end);
+  });
 }
 
 std::string_view pairing_name(PairingKind kind) {

@@ -57,7 +57,9 @@ struct PairingScratch {
   std::vector<std::int32_t> recruited_by;
   /// recruit_succeeded[x] != 0 iff request x's ant appears as the
   /// recruiter in a pair of M. uint8_t rather than bool: flat byte access,
-  /// no bit-packing on the hot path.
+  /// no bit-packing on the hot path. The two lottery models run their
+  /// greedy acceptance in this lane (one state byte per slot: taken as a
+  /// target, matched as a recruiter) and turn it into the flags in place.
   std::vector<std::uint8_t> recruit_succeeded;
 
   // Model workspace (contents meaningless between calls). The counter

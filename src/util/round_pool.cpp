@@ -35,6 +35,7 @@ constexpr int kSpinIterations = 1 << 13;
 constexpr std::uint64_t kChunkMask = 0xffffffffULL;
 
 thread_local int t_inline_depth = 0;
+thread_local int t_reversed_depth = 0;
 /// True on pool workers and on a caller while its job runs: a kernel
 /// started from inside a chunk runs inline (and never re-enters busy_).
 thread_local bool t_in_job = false;
@@ -311,9 +312,17 @@ InlineRounds::InlineRounds() { ++t_inline_depth; }
 
 InlineRounds::~InlineRounds() { --t_inline_depth; }
 
+ReversedRounds::ReversedRounds() { ++t_reversed_depth; }
+
+ReversedRounds::~ReversedRounds() { --t_reversed_depth; }
+
 namespace detail {
 
 void dispatch_chunks(std::size_t chunks, ChunkFn fn, void* body) {
+  if (t_reversed_depth > 0) {
+    for (std::size_t c = chunks; c-- > 0;) fn(body, c);
+    return;
+  }
   RoundPool::instance().run(chunks, fn, body);
 }
 

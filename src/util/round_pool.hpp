@@ -77,6 +77,19 @@ class InlineRounds {
   InlineRounds& operator=(const InlineRounds&) = delete;
 };
 
+/// Test seam: while alive, every multi-chunk kernel on this thread runs
+/// its chunks on this thread, last chunk first. Results never depend on
+/// the chunk order; tests use it to pin that deterministically — e.g. a
+/// chunk storing past the end of its own range is overwritten by its
+/// neighbour in chunk order, but not in reverse.
+class ReversedRounds {
+ public:
+  ReversedRounds();
+  ~ReversedRounds();
+  ReversedRounds(const ReversedRounds&) = delete;
+  ReversedRounds& operator=(const ReversedRounds&) = delete;
+};
+
 namespace detail {
 using ChunkFn = void (*)(void* body, std::size_t chunk);
 /// Run fn(body, c) for every c in [0, chunks); see run_chunks.

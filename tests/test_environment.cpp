@@ -929,6 +929,60 @@ TEST(Environment, EveryRoundEntryPointMatchesTheLiteralRound) {
   }
 }
 
+TEST(Environment, ChunkedPass1KeepsEveryStoreInsideItsChunksRanks) {
+  // Pass 1 stores every go ant's request row at the chunk's rank cursor
+  // (the next recruiter overwrites it). After the chunk's last recruiter
+  // the cursor sits on the NEXT chunk's first row, and the rank bound
+  // diverts those stores. Here chunk 0 ends in a run of go ants, and the
+  // two chunks run last-first, so a store past the bound would overwrite
+  // chunk 1's first request after chunk 1 wrote it.
+  struct PinnedWorkers {
+    PinnedWorkers() { util::set_round_workers(2); }
+    ~PinnedWorkers() { util::set_round_workers(0); }
+  } const pinned;
+  const util::ReversedRounds reversed;
+  const auto n = static_cast<AntId>(2 * util::kMinRoundChunk + 37);
+  ASSERT_EQ(util::round_chunks(n), 2u);
+  const auto end0 = static_cast<AntId>(util::chunk_begin(n, 2, 1));
+  for (const PairingKind kind :
+       {PairingKind::kPermutation, PairingKind::kUniformProposal,
+        PairingKind::kCounter}) {
+    const auto cfg = config(n, {1.0, 0.0, 1.0}, 77);
+    LiteralWorld literal(cfg, kind);
+    Environment world(cfg, make_pairing_model(kind));
+    std::vector<Action> actions(n, Action::search());
+    literal.step(actions);
+    world.step(actions);  // round 1: every ant learns the nest it found
+    std::vector<MaskedOp> op(n);
+    std::vector<std::uint8_t> active(n);
+    std::vector<NestId> targets(n);
+    util::Rng rng(5);
+    for (int round = 2; round <= 4; ++round) {
+      for (AntId a = 0; a < n; ++a) {
+        const NestId found = literal.location(a) != kHomeNest
+                                 ? literal.location(a)
+                                 : targets[a];
+        const bool go = a + 40 >= end0 && a < end0;
+        actions[a] = go ? Action::go(found)
+                        : Action::recruit(rng.uniform_u64(2) == 0, found);
+        op[a] = go ? MaskedOp::kGo : MaskedOp::kRecruit;
+        active[a] = actions[a].active ? 1 : 0;
+        targets[a] = found;
+      }
+      const std::vector<Outcome> want = literal.step(actions);
+      world.step_masked_recruit_quiet(op, active, targets);
+      const std::string label = std::string(pairing_name(kind)) +
+                                ", round " + std::to_string(round);
+      expect_same_world(literal, world, label);
+      for (AntId a = 0; a < n; ++a) {
+        if (op[a] != MaskedOp::kRecruit) continue;
+        ASSERT_EQ(want[a].nest, world.recruit_results()[a])
+            << label << ", ant " << a;
+      }
+    }
+  }
+}
+
 TEST(Environment, SelfRecruitmentCountsInStats) {
   Environment e(config(1, {1.0}, 5));
   std::vector<Action> search{Action::search()};

@@ -2,14 +2,19 @@
 // alternative model used for the E15 ablation.
 #include "env/pairing.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/simulation.hpp"
 #include "util/rng.hpp"
+#include "util/round_pool.hpp"
 
 namespace hh::env {
 namespace {
@@ -288,6 +293,165 @@ TEST(CounterLotteryPairing, KeyedMatchingDependsOnlyOnSeedRoundAndFlags) {
   EXPECT_NE(s1.recruited_by, s2.recruited_by);
   model.pair_active(active, PairingCtx{rng_a, 6, 2}, s2);
   EXPECT_NE(s1.recruited_by, s2.recruited_by);
+}
+
+/// The counter-lottery model written out literally, slot by slot: the
+/// keyed proposals, each target's max-entry lottery, then the acceptance
+/// in target order with both endpoints checked both ways, as the model
+/// first shipped it. Unkeyed calls draw the key from `ctx.rng`.
+void literal_counter_lottery(std::span<const std::uint8_t> active,
+                             const PairingCtx& ctx,
+                             std::vector<std::int32_t>& recruited_by,
+                             std::vector<std::uint8_t>& recruit_succeeded) {
+  const std::size_t m = active.size();
+  recruited_by.assign(m, kNotRecruited);
+  recruit_succeeded.assign(m, 0);
+  if (m == 0) return;
+  const bool keyed = ctx.round != 0;
+  const std::uint64_t seed = keyed ? ctx.seed : ctx.rng();
+  const std::uint64_t round = keyed ? ctx.round : 1u;
+  std::vector<std::uint64_t> cell(m, 0);
+  for (std::size_t x = 0; x < m; ++x) {
+    if (!active[x]) continue;
+    util::SplitMix64 stream(util::mix_seed(seed, round, x));
+    const auto t = static_cast<std::size_t>(stream.bounded(m));
+    const std::uint64_t entry = (stream.next() & 0xffffffff00000000ULL) |
+                                static_cast<std::uint64_t>(m - x);
+    cell[t] = std::max(cell[t], entry);
+  }
+  for (std::size_t t = 0; t < m; ++t) {
+    if (cell[t] == 0) continue;
+    const std::size_t w = m - static_cast<std::size_t>(cell[t] & 0xffffffffULL);
+    const bool target_free =
+        recruited_by[t] == kNotRecruited && recruit_succeeded[t] == 0;
+    const bool recruiter_free =
+        recruited_by[w] == kNotRecruited && recruit_succeeded[w] == 0;
+    if (w == t ? target_free : target_free && recruiter_free) {
+      recruit_succeeded[w] = 1;
+      recruited_by[t] = static_cast<std::int32_t>(w);
+    }
+  }
+}
+
+/// Pins the round pool's worker count for one scope.
+struct PinnedWorkers {
+  explicit PinnedWorkers(std::size_t workers) {
+    util::set_round_workers(workers);
+  }
+  ~PinnedWorkers() { util::set_round_workers(0); }
+  PinnedWorkers(const PinnedWorkers&) = delete;
+  PinnedWorkers& operator=(const PinnedWorkers&) = delete;
+};
+
+TEST(CounterLotteryPairing, MatchesTheLiteralModel) {
+  // The model accepts on a one-byte state lane and writes both outputs
+  // per target chunk; the matching and the stream advance must be the
+  // literal loop's at every size (one chunk, the chunking threshold,
+  // several chunks), density, chunk count and chunk order, keyed and
+  // unkeyed. One scratch serves every call, so no call may lean on
+  // what an earlier one left in it.
+  const CounterLotteryPairing model;
+  PairingScratch scratch;
+  for (const std::size_t m : {0u, 1u, 2u, 3u, 2047u, 2048u, 4097u, 16411u}) {
+    for (const double density : {0.0, 0.05, 0.5, 0.9, 1.0}) {
+      std::vector<std::uint8_t> active(m);
+      util::Rng flags(m * 31 + static_cast<std::uint64_t>(density * 100));
+      for (auto& b : active) b = flags.uniform_double() < density ? 1 : 0;
+      for (const std::uint32_t round : {0u, 9u}) {  // unkeyed, keyed
+        util::Rng want_rng(11);
+        std::vector<std::int32_t> want_by;
+        std::vector<std::uint8_t> want_ok;
+        literal_counter_lottery(active, PairingCtx{want_rng, 0x5EED, round},
+                                want_by, want_ok);
+        const std::uint64_t want_next = want_rng();
+        for (const std::size_t workers : {1u, 2u, 4u, 8u, 0u}) {
+          // 0 = four chunks run on the calling thread, last chunk first.
+          const PinnedWorkers pinned(workers == 0 ? 4 : workers);
+          std::optional<util::ReversedRounds> reversed;
+          if (workers == 0) reversed.emplace();
+          util::Rng got_rng(11);
+          model.pair_active(active, PairingCtx{got_rng, 0x5EED, round},
+                            scratch);
+          const std::string label =
+              "m=" + std::to_string(m) + " density=" + std::to_string(density) +
+              (round == 0 ? " unkeyed" : " keyed") + " workers=" +
+              (workers == 0 ? std::string("4 reversed")
+                            : std::to_string(workers));
+          EXPECT_EQ(want_by, scratch.recruited_by) << label;
+          EXPECT_EQ(want_ok, scratch.recruit_succeeded) << label;
+          EXPECT_EQ(want_next, got_rng()) << label;
+        }
+      }
+    }
+  }
+}
+
+/// 64-bit FNV-1a over a run's observable results, per-round stats
+/// included: a compact pin for whole simulations.
+std::uint64_t run_fingerprint(const core::RunResult& run) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(run.converged ? 1u : 0u);
+  mix(run.rounds);
+  mix(run.rounds_executed);
+  mix(run.winner);
+  mix(run.total_recruitments);
+  mix(run.total_tandem_runs);
+  mix(run.total_transports);
+  for (const RoundStats& s : run.trajectories.round_stats) {
+    mix(s.active_recruits);
+    mix(s.passive_recruits);
+    mix(s.successful_recruitments);
+    mix(s.self_recruitments);
+    mix(s.cross_nest_recruitments);
+  }
+  for (const auto& counts : run.trajectories.counts) {
+    for (const std::uint32_t c : counts) mix(c);
+  }
+  return h;
+}
+
+TEST(CounterLotteryPairing, RunResultsMatchTheRecordedFingerprints) {
+  // Whole optimal/quorum runs under the counter lottery, recorded with
+  // the four-condition acceptance of literal_counter_lottery: every
+  // matching of every round feeds these hashes, at one chunk (n = 300)
+  // and at several (n = 9000, 4 workers).
+  struct Pin {
+    core::AlgorithmKind kind;
+    std::uint32_t n;
+    std::uint64_t seed;
+    std::uint64_t want;
+  };
+  const Pin pins[] = {
+      {core::AlgorithmKind::kOptimal, 300, 1, 0x043f2c9750071912},
+      {core::AlgorithmKind::kOptimal, 300, 2, 0x7457d5016e5a5b0f},
+      {core::AlgorithmKind::kOptimal, 9000, 1, 0x263fbf605cc64b2c},
+      {core::AlgorithmKind::kOptimal, 9000, 2, 0x341c504181282dd9},
+      {core::AlgorithmKind::kQuorum, 300, 1, 0x0c3f8251aa8979e1},
+      {core::AlgorithmKind::kQuorum, 9000, 1, 0xc3583d529f36dff3},
+  };
+  const PinnedWorkers pinned(4);
+  for (const Pin& pin : pins) {
+    core::SimulationConfig cfg;
+    cfg.num_ants = pin.n;
+    cfg.qualities = core::SimulationConfig::binary_qualities(6, 3);
+    cfg.pairing = PairingKind::kCounter;
+    cfg.seed = pin.seed;
+    cfg.max_rounds = 400;
+    cfg.record_trajectories = true;
+    const core::RunResult run = core::Simulation(cfg, pin.kind).run();
+    char hex[19];
+    std::snprintf(hex, sizeof(hex), "0x%016llx",
+                  static_cast<unsigned long long>(run_fingerprint(run)));
+    EXPECT_EQ(pin.want, run_fingerprint(run))
+        << core::algorithm_name(pin.kind) << " n=" << pin.n
+        << " seed=" << pin.seed << ": got " << hex;
+  }
 }
 
 TEST(PermutationPairing, Lemma21SuccessProbabilityAtLeastOneSixteenth) {
