@@ -35,19 +35,17 @@ using hh::testing::allocation_count;
 
 void BM_Pairing(benchmark::State& state, hh::env::PairingKind kind) {
   const auto m = static_cast<std::size_t>(state.range(0));
-  std::vector<hh::env::RecruitRequest> requests;
-  for (std::size_t i = 0; i < m; ++i) {
-    requests.push_back({static_cast<hh::env::AntId>(i), i % 2 == 0, 1});
-  }
+  std::vector<std::uint8_t> active(m);
+  for (std::size_t i = 0; i < m; ++i) active[i] = i % 2 == 0 ? 1 : 0;
   const auto model = hh::env::make_pairing_model(kind);
   hh::util::Rng rng(1);
   hh::env::PairingScratch scratch;
   scratch.reserve(m);
-  model->pair_into(requests, rng, scratch);  // warm the workspace
+  model->pair_active(active, rng, scratch);  // warm the workspace
   std::uint64_t allocs = 0;
   for (auto _ : state) {
     const std::uint64_t before = allocation_count();
-    model->pair_into(requests, rng, scratch);
+    model->pair_active(active, rng, scratch);
     allocs += allocation_count() - before;
     benchmark::DoNotOptimize(scratch.recruited_by.data());
   }

@@ -103,17 +103,6 @@ class SimpleFamilyPack final : public AntPack {
                : RoundShape::kMaskedGo;
   }
 
-  void fill_recruit_requests(std::uint32_t round,
-                             std::span<env::RecruitRequest> requests) override {
-    HH_EXPECTS(all_in(Phase::kRecruit));
-    HH_EXPECTS(requests.size() == rng_.size());
-    for (std::size_t a = 0; a < requests.size(); ++a) {
-      const bool b = decide_b(a, round);  // lines 6 / 10
-      requests[a] = env::RecruitRequest{static_cast<env::AntId>(a), b,
-                                        nest_[a]};           // line 7
-    }
-  }
-
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
   [[nodiscard]] std::span<const env::NestId> fill_recruit_soa(
       std::uint32_t round, std::span<std::uint8_t> active) override {
@@ -126,7 +115,7 @@ class SimpleFamilyPack final : public AntPack {
     run_ant_chunks(util::round_chunks(size()),
                    [&](std::size_t begin, std::size_t end, std::int32_t*) {
                      for (std::size_t a = begin; a < end; ++a) {
-                       round_targets_[a] = nest_[a];
+                       round_targets_[a] = nest_[a];            // line 7
                        active[a] = decide_b(a, round) ? 1 : 0;  // lines 6 / 10
                      }
                    });
@@ -441,16 +430,6 @@ class QuorumPack final : public AntPack {
     return phase_count_[static_cast<std::size_t>(Phase::kRecruit)] > 0
                ? RoundShape::kMaskedRecruit
                : RoundShape::kMaskedGo;
-  }
-
-  void fill_recruit_requests(std::uint32_t /*round*/,
-                             std::span<env::RecruitRequest> requests) override {
-    HH_EXPECTS(all_in(Phase::kRecruit));
-    HH_EXPECTS(requests.size() == rng_.size());
-    for (std::size_t a = 0; a < requests.size(); ++a) {
-      requests[a] =
-          env::RecruitRequest{static_cast<env::AntId>(a), decide_b(a), nest_[a]};
-    }
   }
 
   // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
@@ -792,7 +771,7 @@ void AntPack::begin_round(std::span<const std::uint8_t> awake) {
   any_asleep_ =
       std::find(awake.begin(), awake.end(), std::uint8_t{0}) != awake.end();
   // An all-sleepers round leaves act_ zeroed with no phase advanced, so
-  // the NEXT round can still be colony-uniform — and the uniform path
+  // the NEXT round can still be colony-uniform — and the all-search path
   // forwards act_ straight into observe_all without ever calling
   // fill_masked. Refill here, before round_shape dispatch, or a fully
   // awake round after a fully asleep one would skip every observe and
@@ -998,11 +977,6 @@ void AntPack::observe_masked_quiet_acting(
     std::span<const env::MaskedOp> /*op*/,
     std::span<const env::NestId> /*targets*/) {
   HH_ASSERT(false);  // only called when round_shape() says kMasked*
-}
-
-void AntPack::fill_recruit_requests(std::uint32_t /*round*/,
-                                    std::span<env::RecruitRequest> /*requests*/) {
-  HH_ASSERT(false);  // only called when round_shape() says kAllRecruit
 }
 
 std::span<const env::NestId> AntPack::go_targets() const {

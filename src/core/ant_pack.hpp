@@ -33,7 +33,11 @@
 //     through the environment's all-* fast paths; mixed-phase rounds
 //     (Algorithm 2's interleaved R1-R4 blocks, any faulted round) route
 //     through the masked SoA entry points (Environment::step_masked_*).
-//     Under exact observation both use the Outcome-free quiet forms.
+//     The all-recruit and all-go paths are Outcome-free, so they serve
+//     exact observation only: under noisy observation the driver runs
+//     those rounds through fill_masked and the loud masked entry points,
+//     whose Outcomes carry the perception draws. Exact masked rounds use
+//     the Outcome-free quiet forms too.
 //
 // Packs exist for every built-in algorithm: the Algorithm-3 family
 // (simple, rate-boosted, quality-aware, uniform-recruit), the quorum
@@ -71,11 +75,14 @@ namespace hh::core {
 /// environment's SoA fast paths instead of the generic per-action
 /// dispatch. Uniform shapes are reported only when EVERY ant makes that
 /// call (so never under fault lanes); the masked shapes carry mixed
-/// rounds through Environment::step_masked_*.
+/// rounds through Environment::step_masked_*. Under noisy observation the
+/// driver runs kAllRecruit/kAllGo rounds as kMaskedRecruit/kMaskedGo (the
+/// uniform recruit and go fast paths are quiet-only); packs need not know.
 enum class RoundShape : std::uint8_t {
   kAllSearch,      ///< every ant searches (round 1, fault-free)
-  kAllRecruit,     ///< every ant recruits: fill_recruit_* + step_all_recruit
-  kAllGo,          ///< every ant goes: go_targets + step_all_go
+  kAllRecruit,     ///< every ant recruits: fill_recruit_soa +
+                   ///< step_all_recruit_quiet
+  kAllGo,          ///< every ant goes: go_targets + step_all_go_quiet
   kMaskedRecruit,  ///< mixed ops, recruiters possible: fill_masked +
                    ///< step_masked_recruit
   kMaskedGo,       ///< mixed ops, NO recruiters: fill_masked + step_masked_go
@@ -141,25 +148,20 @@ class AntPack {
       std::span<env::MaskedOp> op, std::span<std::uint8_t> active,
       std::span<env::NestId> targets);
 
-  /// kAllRecruit rounds only: write every ant's recruit(b, i) call into
-  /// `requests` (requests[a].ant = a), drawing the same RNG sequence the
-  /// scalar colony would draw. The loud (Outcome-producing) form.
-  virtual void fill_recruit_requests(std::uint32_t round,
-                                     std::span<env::RecruitRequest> requests);
-
-  /// kAllRecruit rounds only, SoA form for the quiet path: write every
-  /// ant's b into `active` and return the advertised-nest lane (a
-  /// pack-owned snapshot that stays valid through the following
-  /// observe_recruit_pairing). Same RNG sequence as fill_recruit_requests.
+  /// Exact kAllRecruit rounds only: write every ant's b into `active` and
+  /// return the advertised-nest lane (a pack-owned snapshot that stays
+  /// valid through the following observe_recruit_pairing), drawing the
+  /// same RNG sequence the scalar colony would draw.
   [[nodiscard]] virtual std::span<const env::NestId> fill_recruit_soa(
       std::uint32_t round, std::span<std::uint8_t> active);
 
-  /// kAllGo rounds only: the per-ant go() targets. Packs return a view of
-  /// their committed-nest lane — no copy.
+  /// Exact kAllGo rounds only: the per-ant go() targets. Packs return a
+  /// view of their committed-nest lane — no copy.
   [[nodiscard]] virtual std::span<const env::NestId> go_targets() const;
 
-  /// Deliver the end-of-round return values of a uniform round
-  /// (outcomes[a] answers ant a's call). Uniform shapes are only reported
+  /// Deliver the end-of-round return values of a kAllSearch round
+  /// (outcomes[a] answers ant a's call) — the one uniform round whose
+  /// results come as Outcomes. Uniform shapes are only reported
   /// fault-free, where the act lane is all-ones — so the default forwards
   /// to the masked observe kernel, which IS the uniform kernel then (one
   /// copy of every transition, not two).

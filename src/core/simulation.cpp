@@ -223,17 +223,16 @@ Simulation::Simulation(const SimulationConfig& config, EngineParts engine,
   }
   engine_fallback_ = std::move(engine.fallback);
   exact_observation_ = !config.noise.any();
-  actions_.resize(config.num_ants);
   if (pack_) {
     HH_EXPECTS(pack_->size() == config.num_ants);
     census_.resize(config.qualities.size() + 1);
-    requests_.resize(config.num_ants);
     recruit_active_.resize(config.num_ants);
     masked_op_.resize(config.num_ants);
     masked_targets_.resize(config.num_ants);
     if (config.skip_probability > 0.0) awake_u8_.resize(config.num_ants);
   } else {
     HH_EXPECTS(colony_.size() == config.num_ants);
+    actions_.resize(config.num_ants);
     awake_.resize(config.num_ants);
   }
 }
@@ -376,33 +375,15 @@ bool Simulation::update_lattice_convergence() {
 
 bool Simulation::step_packed() {
   const std::uint32_t round = home_->round() + 1;  // 1-based, as in the paper
-  // Tandem/transport attribution as in step_scalar; finalized() reflects
+  // Tandem/transport attribution as in step_scalar, over the round's
+  // successful recruiters alone (one batch finalized() count). Called
+  // between a recruit-bearing round and its observe: finalized() reflects
   // pre-observe state there (an ant's own observe cannot change another
-  // ant's attribution), so checking all ants before the batch observe is
-  // equivalent. `succeeded(a)` abstracts over the loud (Outcome) and
-  // quiet (pairing-scratch) result representations.
+  // ant's attribution), so counting before the batch observe is
+  // equivalent.
   std::uint32_t tandem = 0;
   std::uint32_t transport = 0;
-  const auto attribute = [&](auto&& succeeded) {
-    if (home_->last_round_stats().successful_recruitments == 0) return;
-    if (!pack_->any_finalized()) {
-      tandem = home_->last_round_stats().successful_recruitments;
-      return;
-    }
-    for (env::AntId a = 0; a < config_.num_ants; ++a) {
-      if (succeeded(a)) {
-        if (pack_->finalized(a)) {
-          ++transport;
-        } else {
-          ++tandem;
-        }
-      }
-    }
-  };
-  // The quiet paths' form: the env hands over this round's successful
-  // recruiters directly, so attribution touches the successes alone (one
-  // batch finalized() count) instead of testing every ant.
-  const auto attribute_quiet = [&] {
+  const auto attribute = [&] {
     const std::uint32_t successes =
         home_->last_round_stats().successful_recruitments;
     if (successes == 0) return;
@@ -429,37 +410,33 @@ bool Simulation::step_packed() {
   }
 
   // One batch decide over the state arrays — routed through the
-  // environment's round-shape fast path when the round is colony-uniform,
-  // through the masked SoA entry points when phases (or fault/sleep
-  // lanes) mix the round, and through the Outcome-free quiet forms when
-  // observation is exact.
-  switch (pack_->round_shape(round)) {
+  // environment's round-shape fast paths when the round is colony-uniform
+  // and through the masked SoA entry points when phases (or fault/sleep
+  // lanes) mix the round. The uniform recruit and go fast paths are
+  // Outcome-free (exact observation only), so under noisy observation
+  // those rounds run as masked rounds whose op lane holds one op
+  // throughout: the loud masked forms make the round's perception draws
+  // in the order step() does. Exact masked rounds use the quiet forms.
+  RoundShape shape = pack_->round_shape(round);
+  if (!exact_observation_) {
+    if (shape == RoundShape::kAllRecruit) shape = RoundShape::kMaskedRecruit;
+    if (shape == RoundShape::kAllGo) shape = RoundShape::kMaskedGo;
+  }
+  switch (shape) {
     case RoundShape::kAllSearch:
       pack_->observe_all(home_->step_all_search());
       break;
     case RoundShape::kAllRecruit: {
-      if (exact_observation_) {
-        const std::span<const env::NestId> targets =
-            pack_->fill_recruit_soa(round, recruit_active_);
-        home_->step_all_recruit_quiet(recruit_active_, targets);
-        attribute_quiet();
-        pack_->observe_recruit_pairing(targets, home_->last_pairing());
-      } else {
-        pack_->fill_recruit_requests(round, requests_);
-        const std::vector<env::Outcome>& outcomes =
-            home_->step_all_recruit(requests_);
-        attribute([&](env::AntId a) { return outcomes[a].recruit_succeeded; });
-        pack_->observe_all(outcomes);
-      }
+      const std::span<const env::NestId> targets =
+          pack_->fill_recruit_soa(round, recruit_active_);
+      home_->step_all_recruit_quiet(recruit_active_, targets);
+      attribute();
+      pack_->observe_recruit_pairing(targets, home_->last_pairing());
       break;
     }
     case RoundShape::kAllGo:
-      if (exact_observation_) {
-        home_->step_all_go_quiet(pack_->go_targets());
-        pack_->observe_go_counts(home_->counts(), home_->qualities());
-      } else {
-        pack_->observe_all(home_->step_all_go(pack_->go_targets()));
-      }
+      home_->step_all_go_quiet(pack_->go_targets());
+      pack_->observe_go_counts(home_->counts(), home_->qualities());
       break;
     case RoundShape::kMaskedRecruit: {
       // The previous round's fused observe may have planned this round's
@@ -471,7 +448,7 @@ bool Simulation::step_packed() {
       if (exact_observation_) {
         home_->step_masked_recruit_quiet(masked_op_, recruit_active_,
                                        masked_targets_);
-        attribute_quiet();
+        attribute();
         // Fuse next round's decide into this observe when eligible —
         // never under partial synchrony, whose sleep overlay must run
         // through fill_masked after the round's wake draws.
@@ -485,7 +462,7 @@ bool Simulation::step_packed() {
         const std::vector<env::Outcome>& outcomes =
             home_->step_masked_recruit(masked_op_, recruit_active_,
                                      masked_targets_);
-        attribute([&](env::AntId a) { return outcomes[a].recruit_succeeded; });
+        attribute();
         pack_->observe_masked(outcomes);
       }
       break;

@@ -295,11 +295,10 @@ class Simulation {
   Trajectories trajectories_;
   bool exact_observation_ = true;      // no noise: quiet rounds eligible
   std::string engine_fallback_;        // why kAuto fell back ("" = packed)
-  std::vector<env::Action> actions_;   // reused per round
+  std::vector<env::Action> actions_;   // reused per round (scalar engine)
   std::vector<bool> awake_;            // reused per round (scalar engine)
   std::vector<std::uint8_t> awake_u8_;  // reused per round (packed psync)
   std::vector<std::uint32_t> census_;  // reused per round (packed engine)
-  std::vector<env::RecruitRequest> requests_;  // reused per round (packed)
   std::vector<std::uint8_t> recruit_active_;   // reused per round (packed)
   std::vector<env::MaskedOp> masked_op_;       // reused per round (packed)
   std::vector<env::NestId> masked_targets_;    // reused per round (packed)

@@ -249,8 +249,9 @@ void HomeNestBackend::masked_round(std::span<const MaskedOp> op,
   requests_ant_indexed_ = false;
   pairing_current_ = true;
   if (all_at_home_) {
-    // Materialize the lazy locations of a preceding step_all_recruit()
-    // round: the kIdle branch of pass 1 reads location_ in place.
+    // Materialize the lazy locations of a preceding
+    // step_all_recruit_quiet() round: the kIdle branch of pass 1 reads
+    // location_ in place.
     std::fill(location_.begin(), location_.end(), kHomeNest);
     all_at_home_ = false;
   }
@@ -535,60 +536,6 @@ const std::vector<Outcome>& HomeNestBackend::step_all_search() {
 }
 
 // lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-const std::vector<Outcome>& HomeNestBackend::step_all_recruit(
-    std::span<const RecruitRequest> requests) {
-  HH_EXPECTS(requests.size() == cfg_.num_ants);
-  const std::uint32_t k = num_nests();
-  stats_ = RoundStats{};
-  if (cfg_.enforce_model) {
-    for (AntId a = 0; a < cfg_.num_ants; ++a) {
-      HH_EXPECTS(requests[a].ant == a);
-      validate(a, Action::recruit(requests[a].active, requests[a].target));
-    }
-  }
-  // Phase 1 collapses: recruitment happens at the home nest, so every
-  // location — and with it every count — is known without writing a thing
-  // (locations materialize lazily through the all_at_home_ flag).
-  all_at_home_ = true;
-  requests_ant_indexed_ = true;
-  pairing_current_ = true;
-  pairing_->pair_into(requests, PairingCtx{rng_, pairing_seed_, round_ + 1},
-                      pairing_scratch_);
-  HH_ENSURES(pairing_scratch_.recruited_by.size() == requests.size());
-  count_.assign(k + 1, 0);
-  count_[kHomeNest] = cfg_.num_ants;
-  // Phase 4, recruit-only: requests are indexed by ant (requests[a].ant ==
-  // a), so the request_index_ indirection disappears too.
-  const std::uint32_t home_count =
-      observe_exact_ ? cfg_.num_ants : 0;  // noisy path perceives per ant
-  success_count_ = 0;
-  for (AntId a = 0; a < cfg_.num_ants; ++a) {
-    const RecruitRequest& req = requests[a];
-    stats_.active_recruits += req.active ? 1u : 0u;
-    Outcome& out = outcomes_[a];
-    out = Outcome{ActionKind::kRecruit, req.target, 0.0, 0, false, false};
-    const std::int32_t recruiter = pairing_scratch_.recruited_by[a];
-    if (recruiter != kNotRecruited) {
-      const AntId from = requests[static_cast<std::size_t>(recruiter)].ant;
-      out.nest = requests[static_cast<std::size_t>(recruiter)].target;
-      out.recruited = true;
-      ++stats_.successful_recruitments;
-      success_ants_[success_count_++] = from;
-      if (from == a) ++stats_.self_recruitments;
-      if (out.nest != req.target) ++stats_.cross_nest_recruitments;
-      if (out.nest != kHomeNest) grant_knowledge(a, out.nest);
-    }
-    out.recruit_succeeded = pairing_scratch_.recruit_succeeded[a] != 0;
-    out.count = observe_exact_
-                    ? home_count
-                    : observation_->perceive_count(count_[kHomeNest], rng_);
-  }
-  stats_.passive_recruits = cfg_.num_ants - stats_.active_recruits;
-  ++round_;
-  return outcomes_;
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
 void HomeNestBackend::step_all_recruit_quiet(std::span<const std::uint8_t> active,
                                          std::span<const NestId> targets) {
   HH_EXPECTS(observe_exact_);
@@ -694,43 +641,6 @@ void HomeNestBackend::step_all_go_quiet(std::span<const NestId> targets) {
     for (std::uint32_t i = 0; i <= k; ++i) count_[i] += counts[i];
   }
   ++round_;
-}
-
-// lint: no-alloc (steady-state round; runtime-pinned by test_hotpath)
-const std::vector<Outcome>& HomeNestBackend::step_all_go(
-    std::span<const NestId> targets) {
-  HH_EXPECTS(targets.size() == cfg_.num_ants);
-  const std::uint32_t k = num_nests();
-  stats_ = RoundStats{};
-  pairing_current_ = false;  // no pairing: this round's matching is empty
-  success_count_ = 0;
-  stats_.gos = cfg_.num_ants;
-  all_at_home_ = false;  // every location is written below
-  if (cfg_.enforce_model) {
-    for (AntId a = 0; a < cfg_.num_ants; ++a) {
-      validate(a, Action::go(targets[a]));
-    }
-  }
-  count_.assign(k + 1, 0);
-  for (AntId a = 0; a < cfg_.num_ants; ++a) {
-    location_[a] = targets[a];
-    ++count_[targets[a]];
-  }
-  for (AntId a = 0; a < cfg_.num_ants; ++a) {
-    const NestId nest = targets[a];
-    // Same per-ant perception order as step()'s kGo branch: count first,
-    // then the re-assessed quality (matters under noisy observation).
-    const std::uint32_t count =
-        observe_exact_ ? count_[nest]
-                       : observation_->perceive_count(count_[nest], rng_);
-    const double q = quality(nest);
-    const double perceived_q =
-        observe_exact_ ? q : observation_->perceive_quality(q, rng_);
-    outcomes_[a] =
-        Outcome{ActionKind::kGo, nest, perceived_q, count, false, false};
-  }
-  ++round_;
-  return outcomes_;
 }
 
 }  // namespace hh::env

@@ -84,25 +84,21 @@ class HomeNestBackend final : public Backend {
 
   // --- SoA round-shape fast paths -----------------------------------------
   // The synchronous algorithms produce colony-uniform rounds (every ant
-  // searches, every ant recruits, every ant goes), and the generic step()
-  // pays a per-ant dispatch switch plus Action marshalling it doesn't
-  // need. These entry points execute one round of a known shape over
-  // contiguous inputs instead. Each is RNG-equivalent to step() with the
+  // searches, every ant recruits, every ant goes), and the masked round
+  // body below pays a per-ant op dispatch, request ranks and, in its loud
+  // forms, a per-ant Outcome array that such a round does not need. These
+  // entry points execute one round of a known shape over contiguous
+  // inputs instead. Each is RNG-equivalent to step() with the
   // corresponding action vector: identical draws in identical order,
-  // identical outcomes, counts, knowledge, and stats — the packed engine
+  // identical results, counts, knowledge, and stats — the packed engine
   // (core::AntPack) relies on this, and tests/test_environment.cpp checks
-  // it directly. Same zero-allocation guarantee as step().
+  // it directly. Same zero-allocation guarantee as step(). The recruit
+  // and go shapes exist only in quiet form (below): under a noisy
+  // observation model the packed engine runs those rounds through
+  // step_masked_recruit/step_masked_go with a uniform op lane.
 
   /// One round in which every ant calls search().
   const std::vector<Outcome>& step_all_search();
-
-  /// One round in which every ant calls recruit(b, i): requests[a] must be
-  /// ant a's call (requests[a].ant == a, requests.size() == num_ants()).
-  const std::vector<Outcome>& step_all_recruit(
-      std::span<const RecruitRequest> requests);
-
-  /// One round in which every ant calls go(targets[a]).
-  const std::vector<Outcome>& step_all_go(std::span<const NestId> targets);
 
   /// Rewind to the pre-round-1 state under a new seed, reusing every
   /// buffer: all ants home, counts/knowledge/stats cleared, round() == 0,
@@ -115,21 +111,24 @@ class HomeNestBackend final : public Backend {
   // Quiet forms: under the EXACT observation model (no perception draws),
   // a round's return values are fully determined by the pairing and the
   // end-of-round counts — so these skip materializing the per-ant Outcome
-  // array altogether and the caller reads last_pairing()/counts()
-  // directly. Model bookkeeping (locations, counts, knowledge, stats,
-  // round number) is identical to the loud forms; requires exact
-  // observation (throws ContractViolation otherwise).
+  // array altogether and the caller reads last_pairing(),
+  // recruit_results() and counts() directly. Model bookkeeping
+  // (locations, counts, knowledge, stats, round number) is that of step()
+  // with the uniform action vector; requires exact observation (throws
+  // ContractViolation otherwise).
 
-  /// step_all_recruit without Outcomes, in SoA form: active[a] is ant a's
-  /// b and targets[a] its advertised nest (both size n). The matching is
-  /// in last_pairing(). The pairing runs on the calling thread; the
-  /// matching bookkeeping after it runs as ant chunks on the round pool
-  /// (util/round_pool.hpp), with the same results at any chunk count.
+  /// One round in which every ant calls recruit(active[a], targets[a]),
+  /// without Outcomes (both lanes size n). The matching is in
+  /// last_pairing(), indexed by ant. The pairing runs on the calling
+  /// thread; the matching bookkeeping after it runs as ant chunks on the
+  /// round pool (util/round_pool.hpp), with the same results at any chunk
+  /// count.
   void step_all_recruit_quiet(std::span<const std::uint8_t> active,
                               std::span<const NestId> targets);
 
-  /// step_all_go without Outcomes; per-nest results are in counts(). The
-  /// location writes and the census run as ant chunks on the round pool.
+  /// One round in which every ant calls go(targets[a]), without Outcomes;
+  /// per-nest results are in counts(). The location writes and the census
+  /// run as ant chunks on the round pool.
   void step_all_go_quiet(std::span<const NestId> targets);
 
   // --- masked SoA entry points --------------------------------------------
@@ -209,9 +208,10 @@ class HomeNestBackend final : public Backend {
   /// Ant-indexed view of the LAST ROUND's matching: the AntId that
   /// recruited `a`, or kNotRecruited — including when `a` made no
   /// recruit() call, and for every ant after a round with no recruit
-  /// calls at all (step_all_search/go), whose matching is empty by
-  /// definition. Translates the pairing scratch's request-position
-  /// indices, which packs must not do themselves. Defined inline below:
+  /// calls at all (step_all_search/step_all_go_quiet), whose matching is
+  /// empty by definition. Translates the pairing scratch's
+  /// request-position indices, which packs must not do themselves.
+  /// Defined inline below:
   /// the packed engines call these once per recruiting ant per round
   /// (tens of millions of calls per sweep), so the loads must not hide
   /// behind a call boundary.
@@ -222,10 +222,10 @@ class HomeNestBackend final : public Backend {
   /// The ants that appear as the RECRUITER in a pair of the LAST ROUND's
   /// matching, listed in the order of the requests they recruited (each
   /// at most once — matching validity). Every round entry point sets it:
-  /// empty after a round with no recruit calls (step_all_search/go, a
-  /// recruit-free masked or generic round). Lets the driver attribute
-  /// tandem runs vs transports over the successes alone instead of
-  /// scanning every ant.
+  /// empty after a round with no recruit calls (step_all_search,
+  /// step_all_go_quiet, a recruit-free masked or generic round). The
+  /// packed driver attributes every round's tandem runs vs transports
+  /// through it, over the successes alone instead of scanning every ant.
   [[nodiscard]] std::span<const AntId> successful_recruiters() const {
     return {success_ants_.get(), success_count_};
   }
@@ -311,9 +311,9 @@ class HomeNestBackend final : public Backend {
 
   std::uint32_t round_ = 0;
   std::vector<NestId> location_;        // l(a, r), indexed by ant
-  // step_all_recruit() leaves location_ untouched: every ant is at the
-  // home nest, represented by this flag instead of n writes. Cleared by
-  // every round path that materializes real locations.
+  // step_all_recruit_quiet() leaves location_ untouched: every ant is at
+  // the home nest, represented by this flag instead of n writes. Cleared
+  // by every round path that materializes real locations.
   bool all_at_home_ = false;
   std::vector<std::uint32_t> count_;    // c(i, r), indexed by nest (0..k)
   // (k+1) slots per ant, flattened. uint8_t rather than vector<bool>:
@@ -337,8 +337,8 @@ class HomeNestBackend final : public Backend {
   std::unique_ptr<RequestRow[]> requests_;
   std::unique_ptr<std::uint8_t[]> request_flags_;
   std::vector<std::uint32_t> request_index_;  // ant -> index into requests_
-  // True when the last recruit-bearing round used the all-recruit entry
-  // points, whose pairing scratch is indexed directly by ant (the
+  // True when the last recruit-bearing round was step_all_recruit_quiet,
+  // whose pairing scratch is indexed directly by ant (the
   // request_index_ indirection is skipped there).
   bool requests_ant_indexed_ = false;
   // False after rounds that perform no pairing (all-search/all-go): the

@@ -16,17 +16,9 @@
 #include <string_view>
 #include <vector>
 
-#include "env/nest.hpp"
 #include "util/rng.hpp"
 
 namespace hh::env {
-
-/// One ant's recruit(b, i) call, as seen by the pairing process.
-struct RecruitRequest {
-  AntId ant = 0;              ///< caller
-  bool active = false;        ///< b: true iff the ant recruits actively
-  NestId target = kHomeNest;  ///< i: the nest the ant advertises
-};
 
 /// Index into the request span, or kNotRecruited.
 inline constexpr std::int32_t kNotRecruited = -1;
@@ -70,9 +62,6 @@ struct PairingScratch {
   std::vector<std::uint32_t> perm;            ///< permutation buffer (the
                                               ///< permutation model leaves
                                               ///< P's active ants at its tail)
-  std::vector<std::uint8_t> active;           ///< request active flags, packed
-                                              ///< to 1B for the random-order
-                                              ///< matching loop
   std::vector<std::int32_t> proposal;         ///< uniform-proposal targets
   std::vector<std::int32_t> winner;           ///< uniform-proposal winners
   std::vector<std::uint32_t> proposer_count;  ///< uniform-proposal counts
@@ -95,7 +84,7 @@ struct PairingScratch {
 
 /// The matching M, as owning vectors — the convenience form returned by
 /// PairingModel::pair() for tests and one-off callers. The engine path
-/// uses pair_into() + PairingScratch instead and never materializes this.
+/// uses pair_active() + PairingScratch instead and never materializes this.
 struct PairingResult {
   /// See PairingScratch::recruited_by.
   std::vector<std::int32_t> recruited_by;
@@ -113,9 +102,9 @@ struct PairingResult {
 /// Strategy interface for the home-nest pairing process.
 ///
 /// The matching depends on nothing but each request's active flag, so the
-/// virtual core is SoA: pair_active() over a packed byte span. pair_into()
-/// (AoS requests) and pair() (owning vectors) are thin wrappers drawing
-/// the identical RNG sequence.
+/// one way in is pair_active() over a byte lane of those flags (request x's
+/// b at index x). pair() (owning vectors) is a thin test convenience over
+/// it, drawing the identical RNG sequence.
 class PairingModel {
  public:
   virtual ~PairingModel() = default;
@@ -135,19 +124,9 @@ class PairingModel {
     pair_active(active, PairingCtx{rng}, scratch);
   }
 
-  /// AoS wrapper: packs the requests' active flags into scratch.active and
-  /// delegates to pair_active().
-  void pair_into(std::span<const RecruitRequest> requests,
-                 const PairingCtx& ctx, PairingScratch& scratch) const;
-
-  /// Rng-only AoS wrapper (unkeyed ad-hoc call).
-  void pair_into(std::span<const RecruitRequest> requests, util::Rng& rng,
-                 PairingScratch& scratch) const {
-    pair_into(requests, PairingCtx{rng}, scratch);
-  }
-
-  /// Convenience wrapper over pair_into() returning owning vectors.
-  [[nodiscard]] PairingResult pair(std::span<const RecruitRequest> requests,
+  /// Convenience wrapper over the rng-only pair_active() returning owning
+  /// vectors (allocates a fresh scratch per call).
+  [[nodiscard]] PairingResult pair(std::span<const std::uint8_t> active,
                                    util::Rng& rng) const;
 
   /// Short stable identifier for reports.

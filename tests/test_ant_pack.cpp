@@ -426,10 +426,11 @@ TEST(AntPack, AllSleepersRoundDoesNotStallTheNextUniformRound) {
   // skipped every observe and silently froze the packed engine while the
   // scalar engine kept running. Tiny colonies at moderate skip make the
   // asleep-then-awake round pair frequent; count noise keeps observation
-  // loud, so uniform recruit/go rounds flow through observe_all instead of
-  // the act_-free quiet forms. Trajectories (not just the aggregate
-  // RunResult) pin the per-round census, which a frozen pack cannot
-  // reproduce even in runs where neither engine converges.
+  // loud, so the all-search round flows through observe_all and the
+  // uniform recruit/go rounds through fill_masked + observe_masked
+  // instead of the act_-free quiet forms. Trajectories (not just the
+  // aggregate RunResult) pin the per-round census, which a frozen pack
+  // cannot reproduce even in runs where neither engine converges.
   for (std::uint32_t n : {1u, 2u, 4u}) {
     auto cfg = base_config(0);
     cfg.num_ants = n;

@@ -67,7 +67,12 @@ class LiteralWorld {
     // Phase 1: every location update, the search landings and the
     // requests, in ant order.
     stats_ = RoundStats{};
-    std::vector<RecruitRequest> requests;
+    struct Request {
+      AntId ant;
+      NestId target;
+    };
+    std::vector<Request> requests;
+    std::vector<std::uint8_t> flags;  // b of each request, in request order
     std::vector<std::size_t> request_of(n, 0);
     for (AntId a = 0; a < n; ++a) {
       const Action& action = actions[a];
@@ -90,7 +95,8 @@ class LiteralWorld {
         case ActionKind::kRecruit:
           location_[a] = kHomeNest;
           request_of[a] = requests.size();
-          requests.push_back(RecruitRequest{a, action.active, action.target});
+          requests.push_back(Request{a, action.target});
+          flags.push_back(action.active ? 1 : 0);
           outcomes_[a] = Outcome{ActionKind::kRecruit, action.target, 0.0, 0,
                                  false, false};
           ++(action.active ? stats_.active_recruits : stats_.passive_recruits);
@@ -105,8 +111,8 @@ class LiteralWorld {
     // Phase 2: the pairing process.
     rng_words_.push_back(util::Rng(rng_)());
     PairingScratch matching;
-    pairing_->pair_into(requests, PairingCtx{rng_, pairing_seed_, round_ + 1},
-                        matching);
+    pairing_->pair_active(flags, PairingCtx{rng_, pairing_seed_, round_ + 1},
+                          matching);
     // Phase 3: the end-of-round counts c(i, r).
     std::fill(count_.begin(), count_.end(), 0u);
     for (AntId a = 0; a < n; ++a) ++count_[location_[a]];
@@ -130,7 +136,7 @@ class LiteralWorld {
           const std::size_t x = request_of[a];
           const std::int32_t by = matching.recruited_by[x];
           if (by != kNotRecruited) {
-            const RecruitRequest& from = requests[static_cast<std::size_t>(by)];
+            const Request& from = requests[static_cast<std::size_t>(by)];
             out.nest = from.target;
             out.recruited = true;
             recruited_by_[a] = static_cast<std::int32_t>(from.ant);
@@ -545,10 +551,10 @@ TEST(Environment, DeterministicGivenSeed) {
   EXPECT_NE(run(42), run(43));
 }
 
-// The SoA round-shape entry points (step_all_search/recruit/go and the
-// quiet forms) must be RNG- and state-equivalent to the literal round
-// with the corresponding uniform action vector — the packed engine's
-// correctness rests on this.
+// The SoA round-shape entry points (step_all_search and the quiet
+// step_all_recruit/go forms) must be RNG- and state-equivalent to the
+// literal round with the corresponding uniform action vector — the packed
+// engine's exact uniform rounds rest on this.
 TEST(Environment, RoundShapeFastPathsMatchTheLiteralRound) {
   constexpr std::uint32_t n = 64;
   const std::vector<double> qualities = {1.0, 1.0, 0.0, 0.0};
@@ -593,34 +599,28 @@ TEST(Environment, RoundShapeFastPathsMatchTheLiteralRound) {
   quiet.step_all_search();
   expect_same_state(fast, "after search");
 
-  // Round 2: all recruit (advertising the nest each ant found).
+  // Round 2: all recruit (advertising the nest each ant found). The
+  // quiet form's return values are read off the pairing scratch, the
+  // recruit-return lane and the counts.
   std::vector<Action> recruit(n);
-  std::vector<RecruitRequest> requests(n);
   std::vector<std::uint8_t> active(n);
   std::vector<NestId> targets(n);
   for (AntId a = 0; a < n; ++a) {
     const bool b = a % 2 == 0;
     recruit[a] = Action::recruit(b, generic.location(a));
-    requests[a] = RecruitRequest{a, b, generic.location(a)};
     active[a] = b ? 1 : 0;
     targets[a] = generic.location(a);
   }
   const std::vector<Outcome> generic_recruit = generic.step(recruit);
-  const std::vector<Outcome>& fast_recruit = fast.step_all_recruit(requests);
   quiet.step_all_recruit_quiet(active, targets);
   for (AntId a = 0; a < n; ++a) {
-    EXPECT_EQ(generic_recruit[a].nest, fast_recruit[a].nest);
-    EXPECT_EQ(generic_recruit[a].recruited, fast_recruit[a].recruited);
-    EXPECT_EQ(generic_recruit[a].recruit_succeeded,
-              fast_recruit[a].recruit_succeeded);
-    EXPECT_EQ(generic_recruit[a].count, fast_recruit[a].count);
-    // Quiet form: same matching, read off the scratch.
+    EXPECT_EQ(generic_recruit[a].nest, quiet.recruit_results()[a]);
     EXPECT_EQ(generic_recruit[a].recruited,
               quiet.last_pairing().recruited_by[a] != kNotRecruited);
     EXPECT_EQ(generic_recruit[a].recruit_succeeded,
               quiet.last_pairing().recruit_succeeded[a] != 0);
+    EXPECT_EQ(generic_recruit[a].count, quiet.count(kHomeNest));
   }
-  expect_same_state(fast, "after recruit");
   expect_same_state(quiet, "after quiet recruit");
 
   // Round 3: all go (to the nest learned in the recruit round).
@@ -631,17 +631,13 @@ TEST(Environment, RoundShapeFastPathsMatchTheLiteralRound) {
     go[a] = Action::go(go_targets[a]);
   }
   const std::vector<Outcome> generic_go = generic.step(go);
-  const std::vector<Outcome>& fast_go = fast.step_all_go(go_targets);
   quiet.step_all_go_quiet(go_targets);
   for (AntId a = 0; a < n; ++a) {
-    EXPECT_EQ(generic_go[a].count, fast_go[a].count);
-    EXPECT_EQ(generic_go[a].quality, fast_go[a].quality);
     EXPECT_EQ(generic_go[a].count, quiet.count(go_targets[a]));
+    EXPECT_EQ(generic_go[a].quality, quiet.quality(go_targets[a]));
   }
-  expect_same_state(fast, "after go");
   expect_same_state(quiet, "after quiet go");
   EXPECT_EQ(generic.round(), 3u);
-  EXPECT_EQ(fast.round(), 3u);
   EXPECT_EQ(quiet.round(), 3u);
 }
 
@@ -1009,13 +1005,11 @@ TEST(Environment, SuccessfulRecruitersDescribeTheLastRoundOnEveryPath) {
     std::vector<NestId> home(n);
     for (AntId a = 0; a < n; ++a) home[a] = e.location(a);
     const std::vector<std::uint8_t> all_active(n, 1);
-    std::vector<RecruitRequest> requests(n);
     std::vector<Action> recruits(n);
     std::vector<Action> gos(n);
     std::vector<MaskedOp> mixed(n);
     std::vector<MaskedOp> go_only(n, MaskedOp::kGo);
     for (AntId a = 0; a < n; ++a) {
-      requests[a] = RecruitRequest{a, true, home[a]};
       recruits[a] = Action::recruit(true, home[a]);
       gos[a] = Action::go(home[a]);
       mixed[a] = a % 3 == 0 ? MaskedOp::kGo : MaskedOp::kRecruit;
@@ -1030,10 +1024,8 @@ TEST(Environment, SuccessfulRecruitersDescribeTheLastRoundOnEveryPath) {
         {"step_all_search", false, [&] { e.step_all_search(); }},
         {"step (go)", false, [&] { e.step(gos); }},
         {"step (recruit)", true, [&] { e.step(recruits); }},
-        {"step_all_recruit", true, [&] { e.step_all_recruit(requests); }},
         {"step_all_recruit_quiet", true,
          [&] { e.step_all_recruit_quiet(all_active, home); }},
-        {"step_all_go", false, [&] { e.step_all_go(home); }},
         {"step_all_go_quiet", false, [&] { e.step_all_go_quiet(home); }},
         {"step_masked_recruit", true,
          [&] { e.step_masked_recruit(mixed, all_active, home); }},

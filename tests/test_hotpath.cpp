@@ -4,7 +4,8 @@
 // operator new, so a regression (a stray vector copy, a pairing model
 // that forgets its scratch) fails loudly here rather than silently
 // costing a sweep 20% throughput.
-#include <utility>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -137,20 +138,34 @@ TEST(HotPath, PackedSimulationRoundNeverAllocates) {
   // the round pool. The first multi-chunk round warms it (the pool starts
   // its threads lazily); after that neither the caller nor the workers may
   // allocate — the counting operator new is global, so it sees
-  // allocations on the worker threads too.
+  // allocations on the worker threads too. Under noisy observation the
+  // simple/quorum uniform rounds run as loud masked rounds
+  // (step_masked_* + deliver_outcomes), so those are pinned too.
   util::set_round_workers(4);
   cfg.num_ants = 4 * util::kMinRoundChunk;
   ASSERT_EQ(util::round_chunks(cfg.num_ants), 4u);
-  for (const auto& [kind, pairing] :
-       {std::pair{core::AlgorithmKind::kOptimal, env::PairingKind::kCounter},
-        std::pair{core::AlgorithmKind::kOptimalSettle,
-                  env::PairingKind::kCounter},
-        std::pair{core::AlgorithmKind::kSimple,
-                  env::PairingKind::kPermutation},
-        std::pair{core::AlgorithmKind::kQuorum,
-                  env::PairingKind::kPermutation}}) {
-    cfg.pairing = pairing;
-    core::Simulation sim(cfg, kind);
+  const env::NoiseConfig exact;
+  const env::NoiseConfig noisy{0.3, 0.02, 0.0};
+  struct Case {
+    core::AlgorithmKind kind;
+    env::PairingKind pairing;
+    env::NoiseConfig noise;
+  };
+  for (const Case& c :
+       {Case{core::AlgorithmKind::kOptimal, env::PairingKind::kCounter, exact},
+        Case{core::AlgorithmKind::kOptimalSettle, env::PairingKind::kCounter,
+             exact},
+        Case{core::AlgorithmKind::kSimple, env::PairingKind::kPermutation,
+             exact},
+        Case{core::AlgorithmKind::kQuorum, env::PairingKind::kPermutation,
+             exact},
+        Case{core::AlgorithmKind::kSimple, env::PairingKind::kPermutation,
+             noisy},
+        Case{core::AlgorithmKind::kQuorum, env::PairingKind::kPermutation,
+             noisy}}) {
+    cfg.pairing = c.pairing;
+    cfg.noise = c.noise;
+    core::Simulation sim(cfg, c.kind);
     ASSERT_TRUE(sim.packed());
     sim.step();
     sim.step();  // the first multi-chunk round grows the pool
@@ -160,9 +175,11 @@ TEST(HotPath, PackedSimulationRoundNeverAllocates) {
                 }
               }),
               0u)
-        << core::algorithm_name(kind) << " / " << env::pairing_name(pairing)
-        << " at 4 round workers";
+        << core::algorithm_name(c.kind) << " / "
+        << env::pairing_name(c.pairing)
+        << (c.noise.any() ? " / noisy" : "") << " at 4 round workers";
   }
+  cfg.noise = exact;
   util::set_round_workers(0);
 }
 
@@ -190,47 +207,43 @@ TEST(HotPath, FaultedPackedRoundNeverAllocates) {
   }
 }
 
-TEST(HotPath, PairIntoReusesScratch) {
-  std::vector<env::RecruitRequest> requests;
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    requests.push_back({i, i % 2 == 0, 1});
-  }
+TEST(HotPath, PairActiveReusesScratch) {
+  std::vector<std::uint8_t> active(256);
+  for (std::size_t i = 0; i < active.size(); ++i) active[i] = i % 2 == 0;
   util::Rng rng(4);
   env::PairingScratch scratch;
-  scratch.reserve(requests.size());
+  scratch.reserve(active.size());
   for (const env::PairingKind kind :
        {env::PairingKind::kPermutation, env::PairingKind::kUniformProposal,
         env::PairingKind::kCounter}) {
     const auto model = env::make_pairing_model(kind);
-    model->pair_into(requests, rng, scratch);  // warm (workspace sizing)
+    model->pair_active(active, rng, scratch);  // warm (workspace sizing)
     EXPECT_EQ(allocations_during([&] {
                 for (int i = 0; i < 20; ++i) {
-                  model->pair_into(requests, rng, scratch);
+                  model->pair_active(active, rng, scratch);
                 }
               }),
               0u)
         << model->name();
-    ASSERT_EQ(scratch.recruited_by.size(), requests.size());
-    ASSERT_EQ(scratch.recruit_succeeded.size(), requests.size());
+    ASSERT_EQ(scratch.recruited_by.size(), active.size());
+    ASSERT_EQ(scratch.recruit_succeeded.size(), active.size());
   }
 }
 
-TEST(HotPath, PairWrapperMatchesPairInto) {
+TEST(HotPath, PairWrapperMatchesPairActive) {
   // The owning-vector wrapper must draw the identical RNG sequence and
   // produce the identical matching.
-  std::vector<env::RecruitRequest> requests;
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    requests.push_back({i, i % 3 != 0, 1});
-  }
+  std::vector<std::uint8_t> active(64);
+  for (std::size_t i = 0; i < active.size(); ++i) active[i] = i % 3 != 0;
   for (const env::PairingKind kind :
        {env::PairingKind::kPermutation, env::PairingKind::kUniformProposal,
         env::PairingKind::kCounter}) {
     const auto model = env::make_pairing_model(kind);
     util::Rng rng_a(21);
     util::Rng rng_b(21);
-    const env::PairingResult result = model->pair(requests, rng_a);
+    const env::PairingResult result = model->pair(active, rng_a);
     env::PairingScratch scratch;
-    model->pair_into(requests, rng_b, scratch);
+    model->pair_active(active, rng_b, scratch);
     ASSERT_EQ(result.recruited_by, scratch.recruited_by);
     ASSERT_EQ(result.recruit_succeeded.size(),
               scratch.recruit_succeeded.size());

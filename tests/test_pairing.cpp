@@ -19,16 +19,12 @@
 namespace hh::env {
 namespace {
 
-std::vector<RecruitRequest> make_requests(std::size_t active,
-                                          std::size_t passive) {
-  std::vector<RecruitRequest> reqs;
-  for (std::size_t i = 0; i < active + passive; ++i) {
-    RecruitRequest r;
-    r.ant = static_cast<AntId>(i);
-    r.active = i < active;
-    r.target = r.active ? 1 : 2;
-    reqs.push_back(r);
-  }
+/// The b flags of `active` active requests followed by `passive` passive
+/// ones — the flag lane every pairing entry point takes.
+std::vector<std::uint8_t> make_requests(std::size_t active,
+                                        std::size_t passive) {
+  std::vector<std::uint8_t> reqs(active + passive, 0);
+  std::fill_n(reqs.begin(), active, std::uint8_t{1});
   return reqs;
 }
 
@@ -38,7 +34,7 @@ std::vector<RecruitRequest> make_requests(std::size_t active,
 //  * only active ants appear as recruiters;
 //  * an ant is never simultaneously recruiter in one pair and recruited in
 //    another (self-pairs are the single allowed overlap).
-void expect_valid_matching(const std::vector<RecruitRequest>& reqs,
+void expect_valid_matching(const std::vector<std::uint8_t>& reqs,
                            const PairingResult& result) {
   ASSERT_EQ(result.recruited_by.size(), reqs.size());
   ASSERT_EQ(result.recruit_succeeded.size(), reqs.size());
@@ -48,7 +44,7 @@ void expect_valid_matching(const std::vector<RecruitRequest>& reqs,
     if (by != kNotRecruited) {
       ASSERT_GE(by, 0);
       ASSERT_LT(static_cast<std::size_t>(by), reqs.size());
-      EXPECT_TRUE(reqs[static_cast<std::size_t>(by)].active)
+      EXPECT_NE(reqs[static_cast<std::size_t>(by)], 0)
           << "recruiter " << by << " is not active";
       EXPECT_TRUE(result.recruit_succeeded[static_cast<std::size_t>(by)]);
       ++times_recruiter[static_cast<std::size_t>(by)];
@@ -223,10 +219,9 @@ TEST_P(PairingModelTest, SingleRecruiterTargetIsUniformChiSquare) {
 
 TEST_P(PairingModelTest, MatchingValidAcrossEveryEntryPoint) {
   // The validity invariants (each ant <= 1 pair, only active ants
-  // recruit) must hold identically through all three model entry points:
-  // pair() (owning), pair_into() (AoS + scratch), and the SoA core
-  // pair_active() — both its unkeyed Rng form and the keyed PairingCtx
-  // form the environment uses.
+  // recruit) must hold identically through every model entry point:
+  // pair() (owning) and the SoA core pair_active() — both its unkeyed Rng
+  // form and the keyed PairingCtx form the environment uses.
   const auto model = make_pairing_model(GetParam());
   util::Rng rng(0xBEEF);
   util::Rng shape(0xF00D);
@@ -241,7 +236,7 @@ TEST_P(PairingModelTest, MatchingValidAcrossEveryEntryPoint) {
     const auto owning = model->pair(reqs, rng);
     expect_valid_matching(reqs, owning);
 
-    model->pair_into(reqs, rng, scratch);
+    model->pair_active(reqs, rng, scratch);
     PairingResult from_scratch;
     from_scratch.recruited_by = scratch.recruited_by;
     from_scratch.recruit_succeeded.assign(scratch.recruit_succeeded.begin(),
@@ -250,9 +245,7 @@ TEST_P(PairingModelTest, MatchingValidAcrossEveryEntryPoint) {
 
     // Keyed SoA call — the engine path (counter models draw nothing from
     // the rng here; sequential models must behave exactly as before).
-    std::vector<std::uint8_t> flags(reqs.size());
-    for (std::size_t x = 0; x < reqs.size(); ++x) flags[x] = reqs[x].active;
-    model->pair_active(flags,
+    model->pair_active(reqs,
                        PairingCtx{rng, 0x5EED, 1 + static_cast<std::uint32_t>(trial)},
                        scratch);
     PairingResult keyed;

@@ -187,6 +187,24 @@ TEST(RoundPool, SimulationsBitIdenticalAtOneTwoAndEightWorkers) {
               std::to_string(seed));
     }
   }
+  // Noisy observation: the packed engine runs the uniform recruit and go
+  // rounds of Algorithm 3 and the quorum baseline as loud masked rounds
+  // (chunked pass 1 and matching walk, then the ant-order perception
+  // draws), under a sequential and a keyed pairing.
+  for (const env::PairingKind pairing :
+       {env::PairingKind::kPermutation, env::PairingKind::kCounter}) {
+    core::SimulationConfig cfg = colony_config(11);
+    cfg.pairing = pairing;
+    cfg.noise.count_sigma = 0.3;
+    cfg.noise.quality_flip_prob = 0.02;
+    for (const core::AlgorithmKind kind :
+         {core::AlgorithmKind::kSimple, core::AlgorithmKind::kQuorum}) {
+      expect_identical_across_workers(
+          cfg, kind,
+          std::string(core::algorithm_name(kind)) + ", noisy, " +
+              std::string(env::pairing_name(pairing)) + ", seed 11");
+    }
+  }
 }
 
 TEST(RoundPool, FaultedSimulationBitIdenticalAtOneTwoAndEightWorkers) {
